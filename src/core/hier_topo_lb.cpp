@@ -192,12 +192,28 @@ class NodeTopology final : public topo::Topology {
   }
   int distance_scale() const override { return base_.distance_scale(); }
   void write_distance_row(int p, std::uint16_t* out) const override {
-    const int rp = reps_[static_cast<std::size_t>(p)];
-    for (std::size_t b = 0; b < reps_.size(); ++b)
-      out[b] = static_cast<std::uint16_t>(base_.distance(rp, reps_[b]));
+    const std::uint16_t* row = base_row(p);
+    for (std::size_t b = 0; b < reps_.size(); ++b) out[b] = row[reps_[b]];
+  }
+  double mean_distance_from(int p) const override {
+    const std::uint16_t* row = base_row(p);
+    long long total = 0;
+    for (const int r : reps_) total += row[r];
+    return static_cast<double>(total) / static_cast<double>(reps_.size());
   }
 
  private:
+  /// The base topology's distance row of p's representative, filled by
+  /// its (non-virtual per entry) write_distance_row into a per-thread
+  /// buffer: the DistanceCache fills plane rows in parallel.
+  const std::uint16_t* base_row(int p) const {
+    check_node(p);
+    thread_local std::vector<std::uint16_t> row;
+    row.resize(static_cast<std::size_t>(base_.size()));
+    base_.write_distance_row(reps_[static_cast<std::size_t>(p)], row.data());
+    return row.data();
+  }
+
   const topo::Topology& base_;
   std::vector<int> reps_;
   std::vector<std::vector<int>> adj_;
@@ -401,6 +417,13 @@ void split_machine_level(const TaskGraph& g, const topo::Topology& base,
 }
 
 }  // namespace
+
+std::unique_ptr<topo::Topology> hier_node_plane(const topo::Topology& topo,
+                                                int flat_proc_cap) {
+  MachineHierarchy mh = coarsen_machine(topo, flat_proc_cap);
+  return std::make_unique<NodeTopology>(topo, mh.reps.back(),
+                                        std::move(mh.coarsest_adj));
+}
 
 HierResult hier_map(const graph::TaskGraph& g, const topo::Topology& topo,
                     Rng& rng, const HierOptions& opt, DistanceMode mode,

@@ -103,6 +103,13 @@ HierResult hier_map(const graph::TaskGraph& g, const topo::Topology& topo,
                     DistanceMode mode = DistanceMode::kCached,
                     const CacheHandlePtr& cache = nullptr);
 
+/// The node plane hier_map solves on when p > flat_proc_cap: the machine
+/// contracted to at most flat_proc_cap nodes, node distances being base
+/// distances between representative processors.  Keeps a reference to
+/// `topo`, which must outlive it.  Exposed for tests.
+std::unique_ptr<topo::Topology> hier_node_plane(const topo::Topology& topo,
+                                                int flat_proc_cap);
+
 /// Strategy adaptor ("hier" / "hier+refine" specs).
 class HierTopoLB final : public MappingStrategy {
  public:

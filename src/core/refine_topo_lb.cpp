@@ -1,6 +1,7 @@
 #include "core/refine_topo_lb.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -20,19 +21,103 @@ namespace {
 constexpr int kPairGrain = 256;    // swap-delta evaluations per chunk
 constexpr int kMaxBlockRows = 64;  // speculation window cap (see sweep below)
 
+struct PairAB {
+  int a, b;
+};
+
+/// Per-task terms of the swap lower bound: W_t, the task's byte total, and
+/// C_t = sum of bytes * d(m[t], m[nbr]), its current cost.  Swapping a and b
+/// moves every edge of a from pa to pb; by the triangle inequality
+/// d(pb, pj) - d(pa, pj) >= d(pa, pb) - 2 d(pa, pj), and symmetrically for
+/// b, so
+///
+///   delta(a, b) >= d(pa, pb) * (W_a + W_b) - 2 * (C_a + C_b).
+///
+/// (Counting the a-b edge itself in W and C only lowers the right side.)
+/// A pair whose bound is positive cannot be accepted and is not evaluated.
+/// The bound and swap_delta_dist round differently, so "positive" means
+/// above (deg_a + deg_b + 8) * eps * (d(pa, pb) * (W_a + W_b) + 2 * (C_a +
+/// C_b)).  That scale bounds every term of both sums in magnitude, and each
+/// sum rounds at most deg_a + deg_b + 4 times by eps / 2, so beyond the
+/// margin the computed delta is >= 0 and the accept test (< -1e-12) could
+/// not have fired.
+template <class Dist>
+class SwapBound {
+ public:
+  SwapBound(const graph::TaskGraph& g, const Dist& dist, const Mapping& m)
+      : g_(g), dist_(dist), m_(m) {
+    const auto n = m.size();
+    weight_.assign(n, 0.0);
+    cost_.resize(n);
+    margin_.resize(n);
+    for (int t = 0; t < static_cast<int>(n); ++t) {
+      const auto ut = static_cast<std::size_t>(t);
+      for (const graph::Edge& e : g.edges_of(t)) weight_[ut] += e.bytes;
+      margin_[ut] = static_cast<double>(g.edges_of(t).size() + 4) *
+                    std::numeric_limits<double>::epsilon();
+      refresh(t);
+    }
+  }
+
+  /// Recompute C for the two swapped tasks and every neighbour of either.
+  void swapped(int a, int b) {
+    for (int t : {a, b}) {
+      refresh(t);
+      for (const graph::Edge& e : g_.edges_of(t)) refresh(e.neighbor);
+    }
+  }
+
+  /// Append (a, b) for every b in [b0, n) the bound does not prune.
+  void collect_row(int a, int b0, std::vector<PairAB>& out) const {
+    const auto ua = static_cast<std::size_t>(a);
+    const auto row = dist_.row(m_[ua]);
+    const double wa = weight_[ua];
+    const double ca = cost_[ua];
+    const double ma = margin_[ua];
+    for (int b = b0; b < static_cast<int>(m_.size()); ++b) {
+      const auto ub = static_cast<std::size_t>(b);
+      const double spread =
+          static_cast<double>(row[m_[ub]]) * (wa + weight_[ub]);
+      const double cost = 2.0 * (ca + cost_[ub]);
+      if (!(spread - cost > (ma + margin_[ub]) * (spread + cost)))
+        out.push_back({a, b});
+    }
+  }
+
+ private:
+  void refresh(int t) {
+    const auto row = dist_.row(m_[static_cast<std::size_t>(t)]);
+    double c = 0.0;
+    for (const graph::Edge& e : g_.edges_of(t))
+      c += e.bytes *
+           static_cast<double>(row[m_[static_cast<std::size_t>(e.neighbor)]]);
+    cost_[static_cast<std::size_t>(t)] = c;
+  }
+
+  const graph::TaskGraph& g_;
+  const Dist& dist_;
+  const Mapping& m_;
+  std::vector<double> weight_;  ///< W_t
+  std::vector<double> cost_;    ///< C_t under the current mapping
+  std::vector<double> margin_;  ///< (deg_t + 4) * eps
+};
+
 /// One first-improvement sweep over all pairs (a, b), a < b, exactly
 /// reproducing the sequential visit order and accept decisions.
 ///
-/// The sweep is parallelised *speculatively*: deltas for a block of rows
-/// are evaluated concurrently against the current mapping (each pair writes
-/// only its own slot), then the pairs are walked in sequential order.  An
-/// accepted swap invalidates every not-yet-visited delta conservatively, so
-/// the remaining suffix of the block is re-evaluated in parallel before the
-/// walk continues — every delta that is *acted on* was therefore computed
-/// against the exact mapping the sequential algorithm would see, and the
-/// arithmetic inside swap_delta_dist is a fixed sequential loop, so accept
-/// decisions (and the final mapping) are byte-identical to the sequential
-/// sweep for any thread count.
+/// The sweep is parallelised *speculatively*: a block of rows is filtered
+/// through SwapBound (sequentially — the bound is a few loads per pair),
+/// the surviving pairs' deltas are evaluated concurrently against the
+/// current mapping (each pair writes only its own slot), then the
+/// survivors are walked in sequential order.  Skipping a pruned pair is
+/// what the sequential sweep would do, since it could not be accepted.  An
+/// accepted swap invalidates every not-yet-visited bound and delta
+/// conservatively, so the remaining suffix of the block is filtered and
+/// evaluated again before the walk continues — every delta that is *acted
+/// on* was therefore computed against the exact mapping the sequential
+/// algorithm would see, and the arithmetic inside swap_delta_dist is a
+/// fixed sequential loop, so accept decisions (and the final mapping) are
+/// byte-identical to the sequential sweep for any thread count.
 ///
 /// The block height adapts to the swap rate: it starts at one row, doubles
 /// after every swap-free block (capped at kMaxBlockRows) and resets to one
@@ -44,20 +129,25 @@ template <class Dist>
 bool sweep_once(const graph::TaskGraph& g, const Dist& dist, Mapping& m,
                 int* swaps) {
   const int n = static_cast<int>(m.size());
-  struct PairAB {
-    int a, b;
-  };
-  std::vector<PairAB> pairs;
+  SwapBound<Dist> bound(g, dist, m);
+  std::vector<PairAB> pairs;  // unpruned pairs of the block suffix
   std::vector<double> deltas;
 
-  const auto evaluate = [&](int lo, int hi) {
-    support::parallel_for(hi - lo, kPairGrain, [&](int begin, int end) {
-      for (int i = begin; i < end; ++i) {
-        const PairAB& pr = pairs[static_cast<std::size_t>(lo + i)];
-        deltas[static_cast<std::size_t>(lo + i)] =
-            detail::swap_delta_dist(g, dist, m, pr.a, pr.b);
-      }
-    });
+  // Filter the pairs from (r0, b0) to the end of rows [r0, hi) and
+  // evaluate the survivors.
+  const auto prepare = [&](int r0, int b0, int hi) {
+    pairs.clear();
+    for (int r = r0; r < hi; ++r)
+      bound.collect_row(r, r == r0 ? b0 : r + 1, pairs);
+    deltas.resize(pairs.size());
+    support::parallel_for(
+        static_cast<int>(pairs.size()), kPairGrain, [&](int begin, int end) {
+          for (int i = begin; i < end; ++i) {
+            const PairAB& pr = pairs[static_cast<std::size_t>(i)];
+            deltas[static_cast<std::size_t>(i)] =
+                detail::swap_delta_dist(g, dist, m, pr.a, pr.b);
+          }
+        });
   };
 
   bool improved = false;
@@ -65,25 +155,35 @@ bool sweep_once(const graph::TaskGraph& g, const Dist& dist, Mapping& m,
   int a = 0;
   while (a < n) {
     const int hi = std::min(a + block, n);
-    pairs.clear();
-    for (int r = a; r < hi; ++r)
-      for (int b = r + 1; b < n; ++b) pairs.push_back({r, b});
-    deltas.assign(pairs.size(), 0.0);
-    OBS_COUNTER_ADD("refine/swap_attempts", pairs.size());
-    evaluate(0, static_cast<int>(pairs.size()));
+    // Rows a..hi-1 hold (n-1-a) + ... + (n-hi) pairs.
+    OBS_ONLY(const auto block_pairs =
+                 static_cast<std::size_t>(hi - a) *
+                 static_cast<std::size_t>(2 * n - a - hi - 1) / 2;)
+    OBS_COUNTER_ADD("refine/swap_attempts", block_pairs);
+    OBS_ONLY(std::size_t walked = 0;)
+    prepare(a, a + 1, hi);
 
     bool block_swapped = false;
-    for (int i = 0; i < static_cast<int>(pairs.size()); ++i) {
-      if (!(deltas[static_cast<std::size_t>(i)] < -1e-12)) continue;
-      const PairAB& pr = pairs[static_cast<std::size_t>(i)];
+    std::size_t i = 0;
+    while (i < pairs.size()) {
+      OBS_ONLY(++walked;)
+      if (!(deltas[i] < -1e-12)) {
+        ++i;
+        continue;
+      }
+      const PairAB pr = pairs[i];
       std::swap(m[static_cast<std::size_t>(pr.a)],
                 m[static_cast<std::size_t>(pr.b)]);
+      bound.swapped(pr.a, pr.b);
       ++*swaps;
       OBS_COUNTER_ADD("refine/swap_accepts", 1);
       improved = true;
       block_swapped = true;
-      evaluate(i + 1, static_cast<int>(pairs.size()));
+      prepare(pr.a, pr.b + 1, hi);
+      i = 0;
     }
+    // Pairs whose final visit was decided by the bound alone.
+    OBS_COUNTER_ADD("refine/pairs_pruned", block_pairs - walked);
     a = hi;
     block = block_swapped ? 1 : std::min(block * 2, kMaxBlockRows);
   }

@@ -25,10 +25,25 @@ struct RefineResult {
 
 /// Refine `m` in place-semantics (returns the improved copy).  The result's
 /// hop-bytes are monotonically non-increasing in the number of sweeps.
-/// The O(p^2) swap-delta sweep is parallelised speculatively (see the
+///
+/// Each sweep visits all pairs (a, b), a < b, in order and swaps when the
+/// hop-bytes delta is below -1e-12.  Most pairs are decided without
+/// computing that delta: with W_t a task's byte total and C_t its current
+/// cost (sum of bytes * d(m[t], m[nbr])), every swap has
+///
+///   delta(a, b) >= d(pa, pb) * (W_a + W_b) - 2 * (C_a + C_b),
+///
+/// and a pair whose bound exceeds 0 by a relative floating-point margin
+/// ((deg_a + deg_b + 8) machine epsilons of the bound's magnitude, enough
+/// to cover the rounding of both the bound and the delta) is skipped.  The
+/// bound needs the topology's distances to form a metric: zero diagonal,
+/// symmetric, and d(x, z) <= d(x, y) + d(y, z).  Every topology, fault
+/// overlay and sub-topology in topo:: does.
+///
+/// The remaining deltas are evaluated speculatively in parallel (see the
 /// implementation note in refine_topo_lb.cpp); results are byte-identical
-/// to the sequential first-improvement sweep for any thread count and for
-/// either distance mode.
+/// to the plain sequential first-improvement sweep for any thread count
+/// and for either distance mode.
 /// `cache` (optional) is a prebuilt distance matrix for `topo`; when given
 /// with kCached mode the sweep reuses it instead of building its own.
 RefineResult refine_mapping(const graph::TaskGraph& g,

@@ -4,6 +4,7 @@
 #include <limits>
 #include <numeric>
 
+#include "obs/obs.hpp"
 #include "support/error.hpp"
 
 namespace topomap::part {
@@ -109,7 +110,71 @@ struct FmContext {
   double max_side[2];  // allowed weight per side
 };
 
+/// A candidate move: vertex v with the gain it had when queued.
+struct Move {
+  double gain;
+  int v;
+};
+
+/// Heap order: the top is the best move — gain descending, then id
+/// ascending, the order in which a linear scan for "the first vertex with
+/// the strictly highest gain" would find it.
+struct WorseMove {
+  bool operator()(const Move& x, const Move& y) const {
+    return x.gain < y.gain || (x.gain == y.gain && x.v > y.v);
+  }
+};
+
+/// Unlocked vertices of one source side as a binary max-heap with lazy
+/// deletion: a gain change pushes a fresh entry, and entries whose vertex
+/// is locked or whose gain is out of date are dropped when they surface.
+class MoveQueue {
+ public:
+  void push(double gain, int v) {
+    heap_.push_back({gain, v});
+    std::push_heap(heap_.begin(), heap_.end(), WorseMove{});
+  }
+
+  /// The best current move whose vertex passes `fits`, or v == -1.  The
+  /// current entries popped on the way, the returned one included, are
+  /// set aside and pushed back by restore() once the step's move is done
+  /// (the moved vertex's entry then goes stale).
+  template <class Fits>
+  Move best(const std::vector<double>& gain, const std::vector<char>& locked,
+            Fits&& fits) {
+    while (!heap_.empty()) {
+      const Move top = heap_.front();
+      std::pop_heap(heap_.begin(), heap_.end(), WorseMove{});
+      heap_.pop_back();
+      const auto uv = static_cast<std::size_t>(top.v);
+      if (locked[uv] || gain[uv] != top.gain) continue;  // stale
+      aside_.push_back(top);
+      if (fits(top.v)) return top;
+    }
+    return {0.0, -1};
+  }
+
+  void restore() {
+    for (const Move& mv : aside_) push(mv.gain, mv.v);
+    aside_.clear();
+  }
+
+ private:
+  std::vector<Move> heap_;
+  std::vector<Move> aside_;
+};
+
 /// One FM pass.  Returns true if the cut strictly improved.
+///
+/// Every vertex is moved once (the pass runs until no unlocked vertex fits
+/// its receiving side); each step moves the highest-gain unlocked vertex
+/// whose move keeps the receiving side under its cap, lowest id on ties,
+/// and the pass then rolls back to the best prefix.  The candidates live in
+/// one MoveQueue per source side, so a step reads the top of each queue
+/// (setting aside vertices too heavy to fit) instead of scanning all n
+/// vertices.  A side whose lightest unlocked vertex does not fit is skipped
+/// without touching its queue; vertices never change side while unlocked,
+/// so the lightest one is a cursor over the side's weight-sorted list.
 bool fm_pass(const FmContext& ctx, std::vector<int>& side) {
   const int n = ctx.g.num_vertices();
   std::vector<double> gain(static_cast<std::size_t>(n), 0.0);
@@ -125,6 +190,20 @@ bool fm_pass(const FmContext& ctx, std::vector<int>& side) {
               ? e.bytes
               : -e.bytes;
 
+  MoveQueue queue[2];
+  std::vector<int> by_weight[2];
+  for (int v = 0; v < n; ++v) {
+    const int s = side[static_cast<std::size_t>(v)];
+    queue[s].push(gain[static_cast<std::size_t>(v)], v);
+    by_weight[s].push_back(v);
+  }
+  std::size_t lightest[2] = {0, 0};
+  for (std::vector<int>& vs : by_weight)
+    std::sort(vs.begin(), vs.end(), [&](int x, int y) {
+      return ctx.w[static_cast<std::size_t>(x)] <
+             ctx.w[static_cast<std::size_t>(y)];
+    });
+
   std::vector<char> locked(static_cast<std::size_t>(n), 0);
   std::vector<int> moved;
   moved.reserve(static_cast<std::size_t>(n));
@@ -132,36 +211,41 @@ bool fm_pass(const FmContext& ctx, std::vector<int>& side) {
   int best_prefix = 0;
 
   for (int step = 0; step < n; ++step) {
-    int best = -1;
-    double best_gain = -std::numeric_limits<double>::infinity();
-    for (int v = 0; v < n; ++v) {
-      if (locked[static_cast<std::size_t>(v)]) continue;
-      const int to = 1 - side[static_cast<std::size_t>(v)];
-      if (side_weight[to] + ctx.w[static_cast<std::size_t>(v)] >
-          ctx.max_side[to])
-        continue;  // would overload the receiving side
-      if (gain[static_cast<std::size_t>(v)] > best_gain) {
-        best_gain = gain[static_cast<std::size_t>(v)];
-        best = v;
-      }
+    Move best{0.0, -1};
+    for (int from : {0, 1}) {
+      const int to = 1 - from;
+      const auto fits = [&](int v) {
+        return !(side_weight[to] + ctx.w[static_cast<std::size_t>(v)] >
+                 ctx.max_side[to]);
+      };
+      const std::vector<int>& light = by_weight[from];
+      std::size_t& li = lightest[from];
+      while (li < light.size() && locked[static_cast<std::size_t>(light[li])])
+        ++li;
+      if (li == light.size() || !fits(light[li])) continue;
+      const Move mv = queue[from].best(gain, locked, fits);
+      if (mv.v >= 0 && (best.v < 0 || WorseMove{}(best, mv))) best = mv;
     }
-    if (best < 0) break;
+    if (best.v < 0) break;
 
-    const int from = side[static_cast<std::size_t>(best)];
-    side[static_cast<std::size_t>(best)] = 1 - from;
-    side_weight[from] -= ctx.w[static_cast<std::size_t>(best)];
-    side_weight[1 - from] += ctx.w[static_cast<std::size_t>(best)];
-    locked[static_cast<std::size_t>(best)] = 1;
-    moved.push_back(best);
-    cum += best_gain;
-    for (const Edge& e : ctx.g.edges_of(best)) {
-      if (locked[static_cast<std::size_t>(e.neighbor)]) continue;
+    const auto ub = static_cast<std::size_t>(best.v);
+    const int from = side[ub];
+    side[ub] = 1 - from;
+    side_weight[from] -= ctx.w[ub];
+    side_weight[1 - from] += ctx.w[ub];
+    locked[ub] = 1;
+    moved.push_back(best.v);
+    cum += best.gain;
+    for (const Edge& e : ctx.g.edges_of(best.v)) {
+      const auto nb = static_cast<std::size_t>(e.neighbor);
+      if (locked[nb]) continue;
       // `best` switched sides: edges to its old side become cut (gain up
       // by 2*bytes for those neighbours), edges to the new side uncut.
-      const int nb_side = side[static_cast<std::size_t>(e.neighbor)];
-      gain[static_cast<std::size_t>(e.neighbor)] +=
-          (nb_side == from) ? 2.0 * e.bytes : -2.0 * e.bytes;
+      const int nb_side = side[nb];
+      gain[nb] += (nb_side == from) ? 2.0 * e.bytes : -2.0 * e.bytes;
+      queue[nb_side].push(gain[nb], e.neighbor);
     }
+    for (MoveQueue& q : queue) q.restore();
     if (cum > best_cum + 1e-12) {
       best_cum = cum;
       best_prefix = static_cast<int>(moved.size());
@@ -178,6 +262,8 @@ bool fm_pass(const FmContext& ctx, std::vector<int>& side) {
   return best_cum > 1e-12;
 }
 
+}  // namespace
+
 void fm_refine(const TaskGraph& g, const std::vector<double>& w,
                std::vector<int>& side, double target_left, double eps,
                int passes) {
@@ -188,6 +274,8 @@ void fm_refine(const TaskGraph& g, const std::vector<double>& w,
   for (int pass = 0; pass < passes; ++pass)
     if (!fm_pass(ctx, side)) break;
 }
+
+namespace {
 
 // ---------------------------------------------------------------------------
 // Initial bisection by greedy graph growing.
@@ -294,25 +382,33 @@ std::vector<int> MultilevelPartitioner::bisect(const graph::TaskGraph& g,
   // Build the coarsening hierarchy.
   std::vector<CoarseLevel> levels;
   const TaskGraph* cur = &g;
-  const double side_fraction = std::min(left_fraction, 1.0 - left_fraction);
-  while (cur->num_vertices() > options_.coarsen_target) {
-    const std::vector<double> cur_w = balance_weights(*cur);
-    const double total = std::accumulate(cur_w.begin(), cur_w.end(), 0.0);
-    CoarseLevel level;
-    // No coarse vertex may exceed ~half of the smaller side's target, so
-    // balance stays achievable after contraction.
-    if (!coarsen_once(*cur, 0.5 * side_fraction * total, rng, &level)) break;
-    levels.push_back(std::move(level));
-    cur = &levels.back().coarse;
+  {
+    OBS_SPAN("partition/coarsen");
+    const double side_fraction = std::min(left_fraction, 1.0 - left_fraction);
+    while (cur->num_vertices() > options_.coarsen_target) {
+      const std::vector<double> cur_w = balance_weights(*cur);
+      const double total = std::accumulate(cur_w.begin(), cur_w.end(), 0.0);
+      CoarseLevel level;
+      // No coarse vertex may exceed ~half of the smaller side's target, so
+      // balance stays achievable after contraction.
+      if (!coarsen_once(*cur, 0.5 * side_fraction * total, rng, &level))
+        break;
+      levels.push_back(std::move(level));
+      cur = &levels.back().coarse;
+    }
   }
 
   // Initial bisection on the coarsest graph.
-  std::vector<double> w = balance_weights(*cur);
-  std::vector<int> side =
-      grow_bisection(*cur, w, left_fraction, options_.epsilon,
-                     options_.initial_trials, options_.fm_passes, rng);
+  std::vector<int> side;
+  {
+    OBS_SPAN("partition/initial");
+    side = grow_bisection(*cur, balance_weights(*cur), left_fraction,
+                          options_.epsilon, options_.initial_trials,
+                          options_.fm_passes, rng);
+  }
 
   // Uncoarsen with refinement at every level.
+  OBS_SPAN("partition/fm");
   for (int li = static_cast<int>(levels.size()) - 1; li >= 0; --li) {
     const TaskGraph& finer = (li == 0) ? g : levels[static_cast<std::size_t>(li - 1)].coarse;
     std::vector<int> fine_side(static_cast<std::size_t>(finer.num_vertices()));
@@ -369,6 +465,7 @@ void recurse(const MultilevelPartitioner& partitioner, const TaskGraph& g,
 PartitionResult MultilevelPartitioner::partition(const graph::TaskGraph& g,
                                                  int k, Rng& rng) const {
   TOPOMAP_REQUIRE(k >= 1, "need at least one part");
+  OBS_SPAN("partition/multilevel");
   PartitionResult result;
   result.num_parts = k;
   result.assignment.assign(static_cast<std::size_t>(g.num_vertices()), 0);

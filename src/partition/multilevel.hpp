@@ -12,9 +12,13 @@
 //                  vertex with the best cut gain, until the target side
 //                  weight is reached.  Several trials, best cut wins.
 //   3. UNCOARSEN — project the bisection one level up and improve it with
-//                  Fiduccia–Mattheyses-style passes: move boundary vertices
-//                  by best gain under the balance constraint, with
-//                  hill-climbing and rollback to the best seen prefix.
+//                  Fiduccia–Mattheyses-style passes.  A pass moves every
+//                  vertex once, interior ones included: each step takes the
+//                  highest-gain unlocked vertex whose move keeps the
+//                  receiving side within its cap (lowest id on ties), then
+//                  the pass rolls back to the best prefix seen.  Candidates
+//                  sit in one gain-ordered queue per side, so a step costs
+//                  O(log n) plus the heavy vertices it walks past.
 //
 // The same family of techniques as METIS (Karypis & Kumar), which is what
 // the paper uses for phase 1.
@@ -40,6 +44,16 @@ struct CoarseLevel {
 /// byte-identical for any TOPOMAP_THREADS given a fixed rng state.
 bool coarsen_once(const graph::TaskGraph& g, double weight_cap, Rng& rng,
                   CoarseLevel* out);
+
+/// FM refinement of the 2-way split `side` (0/1 per vertex) in place: up to
+/// `passes` passes (see UNCOARSEN above), stopping after the first pass
+/// that does not strictly lower the cut.  Side 0 may weigh at most
+/// target_left * W * (1 + eps) and side 1 (1 - target_left) * W * (1 + eps),
+/// where W is the sum of the balancing weights `w`.  The partitioner's
+/// refinement step, exposed for tests.
+void fm_refine(const graph::TaskGraph& g, const std::vector<double>& w,
+               std::vector<int>& side, double target_left, double eps,
+               int passes);
 
 struct MultilevelOptions {
   /// Stop coarsening once a bisection's working graph has at most this

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "support/error.hpp"
 #include "support/parallel.hpp"
 #include "topo/factory.hpp"
+#include "topo/fault_overlay.hpp"
 
 namespace topomap::core {
 namespace {
@@ -257,6 +259,34 @@ TEST(HierMapping, RejectsFewerTasksThanProcs) {
   const auto t = topo::make_topology("torus:4x4");
   Rng rng(1);
   EXPECT_THROW(hier_map(g, *t, rng), precondition_error);
+}
+
+/// The node plane's batch rows and row means (gathered from the base's
+/// own rows) equal what per-pair distance() calls give.
+TEST(HierNodePlane, RowsAndMeansMatchPerPairDistances) {
+  auto overlay =
+      std::make_shared<topo::FaultOverlay>(topo::make_topology("torus:8x8x6"));
+  overlay->degrade_link(0, 1, 0.25);
+  overlay->degrade_link(20, 28, 0.5);
+  for (const topo::TopologyPtr& base :
+       {topo::make_topology("torus:16x16x8"), topo::make_topology("mesh:40x30"),
+        topo::TopologyPtr(overlay)}) {
+    SCOPED_TRACE(base->name());
+    const auto plane = hier_node_plane(*base, 120);
+    const int k = plane->size();
+    std::vector<std::uint16_t> row(static_cast<std::size_t>(k));
+    for (int p = 0; p < k; p += 29) {
+      plane->write_distance_row(p, row.data());
+      long long total = 0;
+      for (int q = 0; q < k; ++q) {
+        const int d = plane->distance(p, q);
+        ASSERT_EQ(row[static_cast<std::size_t>(q)], d);
+        total += d;
+      }
+      EXPECT_EQ(plane->mean_distance_from(p),
+                static_cast<double>(total) / static_cast<double>(k));
+    }
+  }
 }
 
 }  // namespace
