@@ -38,7 +38,7 @@ struct Profile {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   CliParser cli("Ablation: dynamic-runtime chaos soak — availability, "
                 "quarantine, migrations, and plane-repair integrity across "
                 "chaos intensities and remap policies");
@@ -129,4 +129,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return topomap::run_main(argc, argv, run);
 }

@@ -16,7 +16,7 @@
 
 using namespace topomap;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   CliParser cli("Ablation: scratch vs incremental re-mapping under drift");
   cli.add_option("epochs", "LB epochs", "8");
   cli.add_option("load-drift", "per-epoch load drift", "0.3");
@@ -75,4 +75,8 @@ int main(int argc, char** argv) {
                "from the\nfrozen epoch-0 grouping — the reason Charm++ "
                "interleaves full LB steps with refinements).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return topomap::run_main(argc, argv, run);
 }

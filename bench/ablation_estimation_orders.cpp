@@ -11,7 +11,7 @@
 
 using namespace topomap;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   CliParser cli("Ablation: TopoLB estimation orders (quality and runtime)");
   cli.add_option("seed", "RNG seed", "1");
   if (!cli.parse(argc, argv)) return 0;
@@ -66,4 +66,8 @@ int main(int argc, char** argv) {
                "is by far the slowest without consistent quality wins — the "
                "paper's reason to ship second order.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return topomap::run_main(argc, argv, run);
 }

@@ -20,7 +20,7 @@
 
 using namespace topomap;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   CliParser cli("Ablation: evacuation vs full remap under processor faults");
   cli.add_option("tasks", "stencil extents <nx>x<ny>", "9x10");
   cli.add_option("topology", "machine", "torus:10x10");
@@ -107,4 +107,8 @@ int main(int argc, char** argv) {
                "the savings come from link failures (strict row subsets) and "
                "distance-model\ntopologies like fat trees (zero rows).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return topomap::run_main(argc, argv, run);
 }

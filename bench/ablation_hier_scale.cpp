@@ -26,7 +26,7 @@ graph::TaskGraph make_stencil3d(int x, int y, int z) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   CliParser cli("Ablation: HierTopoLB scale-up to million-task graphs");
   cli.add_option("seed", "RNG seed", "1");
   cli.add_option("full", "include the 1M-task row (slowest)", "1");
@@ -113,4 +113,8 @@ int main(int argc, char** argv) {
                  "refinement sweeps).\n";
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return topomap::run_main(argc, argv, run);
 }

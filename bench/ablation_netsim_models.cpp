@@ -12,7 +12,7 @@
 
 using namespace topomap;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   CliParser cli("Ablation: wormhole vs store-and-forward service models");
   cli.add_option("iterations", "Jacobi iterations", "200");
   cli.add_option("msg-bytes", "message size in bytes", "4096");
@@ -64,4 +64,8 @@ int main(int argc, char** argv) {
                "the cheap wormhole model is a faithful stand-in for the "
                "packetised one.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return topomap::run_main(argc, argv, run);
 }

@@ -19,7 +19,7 @@
 
 using namespace topomap;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   CliParser cli("Ablation: strategy optimality gaps vs the exact oracle");
   cli.add_option("seed", "RNG seed for the randomized strategies", "1");
   if (!cli.parse(argc, argv)) return 0;
@@ -61,4 +61,8 @@ int main(int argc, char** argv) {
                "regression against ground truth fails scripts/bench_gate.sh."
             << "\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return topomap::run_main(argc, argv, run);
 }

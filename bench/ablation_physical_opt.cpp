@@ -12,7 +12,7 @@
 
 using namespace topomap;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   CliParser cli("Ablation: heuristics vs simulated annealing");
   cli.add_option("seed", "RNG seed", "1");
   if (!cli.parse(argc, argv)) return 0;
@@ -68,4 +68,8 @@ int main(int argc, char** argv) {
                "especially warm-started — at 1-3 orders of magnitude more "
                "runtime.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return topomap::run_main(argc, argv, run);
 }

@@ -15,7 +15,7 @@
 
 using namespace topomap;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   CliParser cli("Ablation: deterministic vs minimal-adaptive routing");
   cli.add_option("procs", "machine sizes (3D-decomposable)", "64,216,512");
   cli.add_option("iterations", "Jacobi iterations", "200");
@@ -69,4 +69,8 @@ int main(int argc, char** argv) {
                "matches the residual\nrandom-vs-TopoLB ratios the paper "
                "measured on adaptive-capable BlueGene hardware.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return topomap::run_main(argc, argv, run);
 }

@@ -60,7 +60,7 @@ struct Scenario {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   CliParser cli("Ablation: health-aware vs health-blind mapping on a "
                 "machine with degraded links");
   cli.add_option("strategy", "mapping strategy", "topolb+refine");
@@ -151,4 +151,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return topomap::run_main(argc, argv, run);
 }

@@ -17,7 +17,7 @@
 
 using namespace topomap;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   CliParser cli("Ablation: all strategies; torus vs rich networks");
   cli.add_option("seed", "RNG seed", "1");
   if (!cli.parse(argc, argv)) return 0;
@@ -80,4 +80,8 @@ int main(int argc, char** argv) {
                "compress it — mapping matters less when wiring is rich.\n";
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return topomap::run_main(argc, argv, run);
 }

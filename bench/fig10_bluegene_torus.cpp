@@ -10,7 +10,7 @@
 
 using namespace topomap;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   CliParser cli("Fig 10: 2D Jacobi on BlueGene-style 3D-torus machines");
   cli.add_option("procs", "machine sizes", "64,128,216,512");
   cli.add_option("iterations", "Jacobi iterations", "400");
@@ -33,4 +33,8 @@ int main(int argc, char** argv) {
                "torus times are lower, especially for random placement, "
                "thanks to the wraparound links.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return topomap::run_main(argc, argv, run);
 }

@@ -9,7 +9,7 @@
 
 using namespace topomap;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   CliParser cli("Fig 11: 2D Jacobi on BlueGene-style 3D-mesh machines");
   cli.add_option("procs", "machine sizes", "64,128,216,512");
   cli.add_option("iterations", "Jacobi iterations", "400");
@@ -31,4 +31,8 @@ int main(int argc, char** argv) {
                "counterpart, with the largest regression\n"
                "for random placement.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return topomap::run_main(argc, argv, run);
 }

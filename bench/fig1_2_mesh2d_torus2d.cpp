@@ -12,7 +12,7 @@
 
 using namespace topomap;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   CliParser cli(
       "Fig 1/2: 2D-mesh pattern on 2D-torus — hops-per-byte vs processors");
   cli.add_option("sides", "comma list of torus side lengths", "16,24,32,48,64");
@@ -60,4 +60,8 @@ int main(int argc, char** argv) {
                "(optimal: the 2D mesh is a subgraph of the 2D torus),\n"
                "TopoCentLB small but above TopoLB.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return topomap::run_main(argc, argv, run);
 }

@@ -14,7 +14,7 @@
 
 using namespace topomap;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   CliParser cli(
       "Fig 3/4: 2D-mesh pattern on 3D-torus — hops-per-byte vs processors");
   cli.add_option("procs", "comma list of processor counts (perfect cubes)",
@@ -66,4 +66,8 @@ int main(int argc, char** argv) {
                "((8,8) mesh is a subgraph of the (4,4,4) torus) and stays "
                "below TopoCentLB elsewhere.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return topomap::run_main(argc, argv, run);
 }

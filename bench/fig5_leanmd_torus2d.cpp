@@ -9,7 +9,7 @@
 
 using namespace topomap;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   CliParser cli("Fig 5: LeanMD-like workload on 2D tori");
   cli.add_option("procs", "processor counts (2D-decomposable)",
                  "16,64,144,256,529");
@@ -28,4 +28,8 @@ int main(int argc, char** argv) {
       static_cast<int>(cli.integer("random-repeats")),
       static_cast<int>(cli.integer("md-iterations")));
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return topomap::run_main(argc, argv, run);
 }

@@ -7,7 +7,7 @@
 
 using namespace topomap;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   CliParser cli("Fig 6: LeanMD-like workload on 3D tori");
   cli.add_option("procs", "processor counts (3D-decomposable)",
                  "27,64,216,512");
@@ -26,4 +26,8 @@ int main(int argc, char** argv) {
       static_cast<int>(cli.integer("random-repeats")),
       static_cast<int>(cli.integer("md-iterations")));
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return topomap::run_main(argc, argv, run);
 }

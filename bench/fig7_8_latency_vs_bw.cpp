@@ -15,7 +15,7 @@
 
 using namespace topomap;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   CliParser cli("Fig 7/8: average message latency vs channel bandwidth");
   cli.add_option("bandwidths", "bandwidths in 100s of MB/s",
                  "1,1.5,2,2.5,3,4,5,6,7,8,9,10");
@@ -80,4 +80,8 @@ int main(int argc, char** argv) {
                "TopoLB stays lowest everywhere, including the uncongested "
                "right-hand region (Fig 8 zoom).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return topomap::run_main(argc, argv, run);
 }

@@ -12,7 +12,7 @@
 
 using namespace topomap;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   CliParser cli("Fig 9: completion time of 2000 iterations vs bandwidth");
   cli.add_option("bandwidths", "bandwidths in 100s of MB/s",
                  "0.5,1,1.5,2,2.5,3,3.5,4,4.5,5");
@@ -77,4 +77,8 @@ int main(int argc, char** argv) {
                "random costs >2x TopoLB; TopoCentLB\n"
                "sits between them, ~10-25% above TopoLB.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return topomap::run_main(argc, argv, run);
 }

@@ -92,7 +92,7 @@ std::vector<svc::Request> mixed_workload(int count) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   CliParser cli(
       "topomapd load test: concurrent clients, mixed request kinds, "
       "shared distance-plane pool");
@@ -195,4 +195,8 @@ int main(int argc, char** argv) {
                "distinct machines);\nthe *_wall columns are informational "
                "and never gate.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return topomap::run_main(argc, argv, run);
 }

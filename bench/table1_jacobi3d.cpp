@@ -18,7 +18,7 @@
 
 using namespace topomap;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   CliParser cli("Table 1: 3D Jacobi, optimal vs random mapping, by msg size");
   cli.add_option("iterations", "Jacobi iterations", "200");
   cli.add_option("sizes-kb", "message sizes in KB", "1,10,100,500,1024");
@@ -85,4 +85,8 @@ int main(int argc, char** argv) {
                "growing from ~1.2x at 1KB toward ~2.7x at 1MB as link "
                "contention dominates.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return topomap::run_main(argc, argv, run);
 }

@@ -71,7 +71,7 @@ topo::GraphTopology demo_machine() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   CliParser cli("Map a file-described task graph onto a file-described machine");
   cli.add_option("machine", "machine edge-list file (empty = built-in demo)",
                  "");
@@ -114,4 +114,8 @@ int main(int argc, char** argv) {
   std::cout << "\nTopoLB keeps heavy communicators inside racks and off the "
                "two bridge cables.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return topomap::run_main(argc, argv, run);
 }

@@ -16,7 +16,7 @@
 #include "topo/factory.hpp"
 #include "topo/torus_mesh.hpp"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace topomap;
 
   CliParser cli("Jacobi: instrument -> dump -> map -> simulate execution");
@@ -86,4 +86,8 @@ int main(int argc, char** argv) {
   std::cout << "\nLower hops-per-byte -> lower link contention -> faster "
                "completion (paper §5.3).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return topomap::run_main(argc, argv, run);
 }

@@ -17,7 +17,7 @@
 #include "support/table.hpp"
 #include "topo/factory.hpp"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace topomap;
 
   CliParser cli("MD cell/pair workload through the two-phase LB pipeline");
@@ -84,4 +84,8 @@ int main(int argc, char** argv) {
               << out.group_of_object[obj] << " -> processor "
               << out.object_to_proc[obj] << "\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return topomap::run_main(argc, argv, run);
 }

@@ -17,7 +17,7 @@
 #include "support/cli.hpp"
 #include "topo/factory.hpp"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace topomap;
 
   CliParser cli("Produce a topology-aware MPI rank ordering");
@@ -70,4 +70,8 @@ int main(int argc, char** argv) {
     rts::write_rank_mapping(std::cout, m);
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return topomap::run_main(argc, argv, run);
 }

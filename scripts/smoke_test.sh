@@ -172,6 +172,26 @@ expect_rc 2 "oversized oracle instance" "$CLI" optimal \
   --tasks=stencil2d:4x4 --topology=torus:4x4
 expect_rc 4 "unwritable output" "$CLI" map --tasks=stencil2d:4x4 \
   --topology=torus:4x4 --output=/nonexistent-dir/out.map
+# A malformed command line is a usage error (1) in every binary — never a
+# silent exit 0 or an abort — while --help still exits 0; a malformed
+# numeric value is invalid input (2).
+expect_rc 0 "--help" "$CLI" map --help
+expect_rc 1 "unknown option" "$CLI" map --top-k=1
+expect_rc 1 "positional argument" "$CLI" map stray
+expect_rc 1 "option without its value" "$CLI" map --seed
+expect_rc 1 "flag given a value" "$CLI" explain --baseline-blind=yes
+expect_rc 1 "malformed bench argument" "$BUILD_DIR/bench/fig1_2_mesh2d_torus2d" \
+  --bogus
+expect_rc 1 "malformed example argument" "$BUILD_DIR/examples/md_pipeline" \
+  --bogus
+expect_rc 1 "malformed daemon argument" "$BUILD_DIR/tools/topomapd" --bogus
+expect_rc 2 "non-numeric seed" "$CLI" map --seed=abc
+expect_rc 2 "out-of-range seed" "$CLI" map --seed=99999999999999999999
+expect_rc 2 "non-numeric client port" "$CLI" client --tcp=localhost:abc
+expect_rc 2 "daemon port past 16 bits" "$BUILD_DIR/tools/topomapd" \
+  --tcp-port=70000 --socket="$TMP/port.sock"
+expect_rc 2 "malformed obs_diff tolerance" "$BUILD_DIR/tools/obs_diff" \
+  --tolerance=abc a.json b.json
 echo "ok: exit codes         1 usage / 2 precondition / 4 io"
 
 # Self-validation drills: each documented corruption class must be caught
@@ -284,6 +304,31 @@ grep -q '^topomap_queue_depth ' "$TMP/metrics.prom"
 # frobnicate request's torus:4x4 (the plane is acquired before the unknown
 # strategy is rejected).
 grep -q 'topomap_pool_events_total{event="misses"} 2' "$TMP/metrics.prom"
+# One execution path per kind: the one-shot explain, evacuate and optimal
+# --output bytes equal the served ones (new machines from here on, so the
+# pool-miss counts above stay exact).
+EXPLAIN_ARGS="--strategy=topolb --baseline=greedy --tasks=stencil2d:8x8
+  --topology=torus:8x8 --degrade-link=0:1:0.5 --seed=7"
+EVAC_ARGS="--strategy=topolb --tasks=stencil2d:7x8 --topology=torus:8x8
+  --fail-node=3,12 --seed=7"
+OPT_ARGS="--tasks=stencil2d:4x2 --topology=mesh:4x2 --compare=topolb --seed=7"
+for kind in explain evacuate optimal; do
+  case "$kind" in
+    explain) args="$EXPLAIN_ARGS"; extra="--iterations=0" ;;
+    evacuate) args="$EVAC_ARGS"; extra="" ;;
+    optimal) args="$OPT_ARGS"; extra="" ;;
+  esac
+  # shellcheck disable=SC2086
+  "$CLI" "$kind" $args $extra --output="$TMP/$kind.oneshot" >/dev/null
+  # shellcheck disable=SC2086
+  "$CLI" client --socket="$SOCK" --kind="$kind" $args \
+    --output="$TMP/$kind.served" >/dev/null
+  if ! diff -q "$TMP/$kind.oneshot" "$TMP/$kind.served" >/dev/null; then
+    echo "FAIL: daemon-served $kind mapping differs from the one-shot CLI" >&2
+    diff "$TMP/$kind.oneshot" "$TMP/$kind.served" >&2 || true
+    exit 1
+  fi
+done
 "$CLI" client --socket="$SOCK" --kind=flight > "$TMP/flight.json"
 python3 scripts/check_trace.py --svc "$TMP/flight.json"
 "$CLI" top --socket="$SOCK" --iterations=1 > "$TMP/top.log"
@@ -318,7 +363,7 @@ assert len(lines) >= 5, f"only {len(lines)} event-log lines"
 assert len(set(corrs)) == len(corrs), f"duplicate correlation ids: {corrs}"
 assert any(not l["ok"] for l in lines), "failed request missing from log"
 PYEOF
-echo "ok: topomapd           serve == one-shot bytes, taxonomy intact, clean stop"
+echo "ok: topomapd           serve == one-shot bytes (map/explain/evacuate/optimal), taxonomy intact, clean stop"
 echo "ok: telemetry          metrics/flight schemas, prom, top, SIGUSR1, event log"
 
 echo "smoke test passed"

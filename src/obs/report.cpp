@@ -11,8 +11,8 @@ namespace topomap::obs {
 
 namespace {
 
-json::Value dist_json(const Distribution& d) {
-  json::Value v = json::Value::object();
+support::json::Value dist_json(const Distribution& d) {
+  support::json::Value v = support::json::Value::object();
   v.set("count", d.count);
   v.set("sum", d.sum);
   v.set("min", d.min_or_zero());
@@ -23,8 +23,8 @@ json::Value dist_json(const Distribution& d) {
 
 }  // namespace
 
-json::Value histogram_to_json(const Histogram& h) {
-  json::Value v = json::Value::object();
+support::json::Value histogram_to_json(const Histogram& h) {
+  support::json::Value v = support::json::Value::object();
   v.set("count", h.count());
   v.set("sum", h.sum());
   v.set("min", h.min_or_zero());
@@ -33,9 +33,9 @@ json::Value histogram_to_json(const Histogram& h) {
   v.set("p50", h.quantile(0.5));
   v.set("p90", h.quantile(0.9));
   v.set("p99", h.quantile(0.99));
-  json::Value buckets = json::Value::array();
+  support::json::Value buckets = support::json::Value::array();
   for (int i : h.nonempty_buckets()) {
-    json::Value triple = json::Value::array();
+    support::json::Value triple = support::json::Value::array();
     triple.push_back(Histogram::bucket_lo(i));
     triple.push_back(Histogram::bucket_hi(i));
     triple.push_back(h.bucket(i));
@@ -55,7 +55,7 @@ void Report::add_series(const std::string& name, std::vector<double> values) {
 
 void Report::add_table(const std::string& name,
                        std::vector<std::string> columns,
-                       std::vector<std::vector<json::Value>> rows) {
+                       std::vector<std::vector<support::json::Value>> rows) {
   tables_[name] = Table{std::move(columns), std::move(rows)};
 }
 
@@ -71,56 +71,56 @@ void Report::capture() {
     series_.emplace(name, std::move(values));
 }
 
-json::Value Report::to_json() const {
-  json::Value doc = json::Value::object();
+support::json::Value Report::to_json() const {
+  support::json::Value doc = support::json::Value::object();
   doc.set("schema", kSchemaName);
   doc.set("schema_version", kSchemaVersion);
 
-  json::Value meta = json::Value::object();
+  support::json::Value meta = support::json::Value::object();
   for (const auto& [k, v] : meta_) meta.set(k, v);
   doc.set("meta", std::move(meta));
 
-  json::Value counters = json::Value::object();
+  support::json::Value counters = support::json::Value::object();
   for (const auto& [name, v] : counters_) counters.set(name, v);
   doc.set("counters", std::move(counters));
 
-  json::Value dists = json::Value::object();
+  support::json::Value dists = support::json::Value::object();
   for (const auto& [name, d] : distributions_) dists.set(name, dist_json(d));
   doc.set("distributions", std::move(dists));
 
   // A new section, not a version bump: consumers tolerate unknown
   // sections within a schema version.
-  json::Value hists = json::Value::object();
+  support::json::Value hists = support::json::Value::object();
   for (const auto& [name, h] : histograms_)
     hists.set(name, histogram_to_json(h));
   doc.set("histograms", std::move(hists));
 
-  json::Value series = json::Value::object();
+  support::json::Value series = support::json::Value::object();
   for (const auto& [name, values] : series_) {
-    json::Value arr = json::Value::array();
+    support::json::Value arr = support::json::Value::array();
     for (double x : values) arr.push_back(x);
     series.set(name, std::move(arr));
   }
   doc.set("series", std::move(series));
 
-  json::Value spans = json::Value::object();
+  support::json::Value spans = support::json::Value::object();
   for (const auto& [name, d] : spans_) spans.set(name, dist_json(d));
   doc.set("spans", std::move(spans));
 
-  json::Value tables = json::Value::object();
+  support::json::Value tables = support::json::Value::object();
   for (const auto& [name, table] : tables_) {
-    json::Value t = json::Value::object();
-    json::Value columns = json::Value::array();
+    support::json::Value t = support::json::Value::object();
+    support::json::Value columns = support::json::Value::array();
     for (const std::string& c : table.columns) columns.push_back(c);
     t.set("columns", std::move(columns));
-    json::Value rows = json::Value::array();
+    support::json::Value rows = support::json::Value::array();
     for (const auto& row : table.rows) {
       TOPOMAP_REQUIRE(row.size() == table.columns.size(),
                       "report table '" + name + "': row width " +
                           std::to_string(row.size()) + " != " +
                           std::to_string(table.columns.size()) + " columns");
-      json::Value r = json::Value::array();
-      for (const json::Value& x : row) r.push_back(x);
+      support::json::Value r = support::json::Value::array();
+      for (const support::json::Value& x : row) r.push_back(x);
       rows.push_back(std::move(r));
     }
     t.set("rows", std::move(rows));

@@ -5,7 +5,7 @@
 #include <ostream>
 #include <sstream>
 
-#include "obs/json.hpp"
+#include "support/json.hpp"
 #include "obs/registry.hpp"
 
 namespace topomap::obs {
@@ -123,9 +123,9 @@ std::map<std::string, Distribution> Tracer::rollup() const {
 }
 
 void Tracer::write_chrome_trace(std::ostream& os) const {
-  json::Value events = json::Value::array();
+  support::json::Value events = support::json::Value::array();
   for (const SpanRecord& s : spans()) {
-    json::Value e = json::Value::object();
+    support::json::Value e = support::json::Value::object();
     e.set("name", s.name);
     e.set("ph", "X");
     e.set("ts", static_cast<double>(s.start_ns) / 1000.0);
@@ -137,13 +137,13 @@ void Tracer::write_chrome_trace(std::ostream& os) const {
   // Counter tracks go on their own pid: their timestamps are the
   // producer's clock (netsim: virtual time), not the span wall clock.
   for (const CounterRecord& c : counters()) {
-    json::Value e = json::Value::object();
+    support::json::Value e = support::json::Value::object();
     e.set("name", c.name);
     e.set("ph", "C");
     e.set("ts", c.ts_us);
     e.set("pid", 2);
     e.set("tid", 0);
-    json::Value args = json::Value::object();
+    support::json::Value args = support::json::Value::object();
     args.set("value", c.value);
     e.set("args", std::move(args));
     events.push_back(std::move(e));

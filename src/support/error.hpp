@@ -31,6 +31,14 @@ class io_error : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Thrown on a usage mistake: a malformed command line, or a request whose
+/// parameters do not apply (a square strategy on a non-square request).
+/// The CLI maps it to exit code 1, the daemon to the "usage" category.
+class usage_error : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 namespace detail {
 [[noreturn]] inline void throw_precondition(const char* expr, const char* file,
                                             int line, const std::string& msg) {

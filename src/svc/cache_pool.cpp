@@ -9,16 +9,20 @@
 
 namespace topomap::svc {
 
+std::shared_ptr<MachineEntry> make_machine(const std::string& topology_spec,
+                                           const topo::FaultSpec& faults) {
+  auto entry = std::make_shared<MachineEntry>();
+  entry->base = topo::make_topology(topology_spec);
+  entry->overlay = topo::build_fault_overlay(entry->base, faults);
+  return entry;
+}
+
 namespace {
 
-MachineEntryPtr build_entry(const std::string& key,
-                            const std::string& topology_spec,
+MachineEntryPtr build_entry(const std::string& topology_spec,
                             const topo::FaultSpec& faults) {
-  auto entry = std::make_shared<MachineEntry>();
-  entry->key = key;
-  entry->base = topo::make_topology(topology_spec);
-  if (!faults.empty())
-    entry->overlay = topo::build_fault_overlay(entry->base, faults);
+  const std::shared_ptr<MachineEntry> entry =
+      make_machine(topology_spec, faults);
   try {
     entry->plane =
         std::make_shared<const topo::DistanceCache>(entry->machine());
@@ -63,7 +67,7 @@ MachineEntryPtr CachePool::acquire(const std::string& topology_spec,
   MachineEntryPtr entry;
   std::exception_ptr error;
   try {
-    entry = build_entry(key, topology_spec, faults);
+    entry = build_entry(topology_spec, faults);
   } catch (...) {
     error = std::current_exception();
   }

@@ -40,12 +40,12 @@
 
 namespace topomap::svc {
 
-/// One pooled machine view: the base topology, the optional fault overlay,
-/// and the distance plane over whichever of the two is the machine.
-/// `plane` is null when the machine exceeds the dense-plane cap (huge
-/// hierarchical targets) — kernels then build their own scoped caches.
+/// One machine view: the base topology, the optional fault overlay, and
+/// the distance plane over whichever of the two is the machine.  `plane`
+/// is null outside the pool (the one-shot CLI) and when the machine
+/// exceeds the dense-plane cap (huge hierarchical targets) — kernels then
+/// build their own scoped caches.
 struct MachineEntry {
-  std::string key;
   topo::TopologyPtr base;
   std::shared_ptr<topo::FaultOverlay> overlay;  // null when no faults
   std::shared_ptr<const topo::DistanceCache> plane;
@@ -54,6 +54,12 @@ struct MachineEntry {
 };
 
 using MachineEntryPtr = std::shared_ptr<const MachineEntry>;
+
+/// The plane-less machine for (topology_spec, faults): the topology plus
+/// its fault overlay, if any.  The pool adds the shared plane; the one-shot
+/// CLI uses it as is.  Throws what the topology and fault builders throw.
+std::shared_ptr<MachineEntry> make_machine(const std::string& topology_spec,
+                                           const topo::FaultSpec& faults);
 
 struct CachePoolStats {
   std::uint64_t hits = 0;      ///< acquire found the key (incl. coalesced

@@ -11,9 +11,21 @@
 #include <cstring>
 #include <utility>
 
+#include "support/cli.hpp"
 #include "support/error.hpp"
 
 namespace topomap::svc {
+
+std::pair<std::string, int> parse_tcp_endpoint(const std::string& endpoint) {
+  const std::size_t colon = endpoint.rfind(':');
+  if (colon == std::string::npos || colon == 0)
+    throw precondition_error("--tcp wants host:port, got '" + endpoint + "'");
+  const std::string what = "--tcp '" + endpoint + "'";
+  const std::int64_t port = parse_integer(endpoint.substr(colon + 1), what);
+  if (port < 1 || port > 65535)
+    throw precondition_error(what + ": port is outside 1..65535");
+  return {endpoint.substr(0, colon), static_cast<int>(port)};
+}
 
 Client Client::connect_unix(const std::string& path) {
   sockaddr_un addr{};

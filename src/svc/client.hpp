@@ -6,6 +6,7 @@
 #pragma once
 
 #include <string>
+#include <utility>
 
 #include "svc/frame.hpp"
 #include "svc/protocol.hpp"
@@ -37,5 +38,11 @@ class Client {
   explicit Client(int fd) : fd_(fd) {}
   int fd_;
 };
+
+/// Splits a "host:port" endpoint (the CLI's --tcp value) at its last
+/// colon.  Throws precondition_error naming the endpoint when the host or
+/// port is missing, the port is not an integer, or it lies outside
+/// 1..65535.
+std::pair<std::string, int> parse_tcp_endpoint(const std::string& endpoint);
 
 }  // namespace topomap::svc

@@ -218,6 +218,13 @@ std::string machine_key(const std::string& topology_spec,
   return os.str();
 }
 
+void ErrorInfo::raise() const {
+  if (category == "precondition") throw precondition_error(message);
+  if (category == "invariant") throw invariant_error(message);
+  if (category == "io") throw io_error(message);
+  throw usage_error(message);
+}
+
 int exit_code_for(const std::string& category) {
   if (category == "precondition") return 2;
   if (category == "invariant") return 3;

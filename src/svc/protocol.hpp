@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <exception>
-#include <stdexcept>
 #include <string>
 
 #include "support/json.hpp"
@@ -34,14 +33,6 @@ namespace json = ::topomap::support::json;
 inline constexpr const char* kRequestSchemaName = "topomap.svc.request";
 inline constexpr const char* kResponseSchemaName = "topomap.svc.response";
 inline constexpr int kSchemaVersion = 1;
-
-/// Request errors the CLI reports as usage mistakes (exit 1): well-formed
-/// protocol, parameters that do not apply — e.g. a square-strategy mapping
-/// request whose task count does not match the machine.
-class usage_error : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
 
 enum class RequestKind {
   kMap,
@@ -119,6 +110,10 @@ std::string machine_key(const std::string& topology_spec,
 struct ErrorInfo {
   std::string category;  // "usage" | "precondition" | "invariant" | "io"
   std::string message;
+
+  /// Throws the taxonomy exception the category names (the inverse of
+  /// make_error_response), so a client fails as the server side did.
+  [[noreturn]] void raise() const;
 };
 
 /// The CLI exit code for an error category (unknown categories map to 1,
@@ -138,7 +133,8 @@ struct Response {
 /// Build the error response for the exception currently being handled,
 /// mapping exception types onto the taxonomy (usage_error → "usage",
 /// precondition_error → "precondition", invariant_error → "invariant",
-/// io_error → "io", anything else → "usage" with the raw message).
+/// io_error → "io", anything else → "usage" with the raw message; the
+/// types live in support/error.hpp).
 Response make_error_response(const std::string& id, std::exception_ptr error);
 
 }  // namespace topomap::svc

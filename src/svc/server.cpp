@@ -347,6 +347,10 @@ Server::~Server() {
 
 void Server::start() {
   TOPOMAP_REQUIRE(!impl_->started, "topomapd server already started");
+  TOPOMAP_REQUIRE(impl_->options.tcp_port >= 0 &&
+                      impl_->options.tcp_port <= 65535,
+                  "tcp_port " + std::to_string(impl_->options.tcp_port) +
+                      " is outside 1..65535 (0 = no TCP listener)");
   int pipefd[2];
   if (::pipe(pipefd) < 0)
     throw io_error(std::string("topomapd: pipe() failed: ") +

@@ -1,17 +1,18 @@
 // svc::Service — topomapd's request executor.
 //
 // One Service instance serves every connection: it owns the shared
-// svc::CachePool and turns protocol Requests into Responses by running the
-// same code paths the one-shot CLI runs (core::make_strategy_with_handle,
-// core::map_on_alive, core::attribute_link_loads, rts::evacuate,
-// core::find_optimal_mapping).  Determinism contract: a request's result —
+// svc::CachePool and turns protocol Requests into Responses.  A mapping
+// request runs the kind's one execution path (svc/run.hpp, which the
+// one-shot `topomap` commands run too) on a pooled machine, and the typed
+// result is serialized.  Determinism contract: a request's result —
 // including the embedded mapping bytes — is byte-identical to the
 // equivalent `topomap <kind>` invocation, regardless of how many requests
-// are in flight.  Two ingredients make that hold:
+// are in flight.  Beyond the shared code, two ingredients make that hold:
 //
 //   * Each request draws from its own Rng(seed) in exactly the CLI's order
 //     (task-graph generation first, then mapping), so sharing a process
-//     shares no RNG state.
+//     shares no RNG state; the pooled plane only replaces a fill the
+//     strategy would otherwise do itself.
 //   * handle() wraps execution in a support::InlineScope — mapping kernels
 //     run their parallel_for regions inline on the serving thread.  The
 //     repo-wide thread-count-invariance contract (every parallel kernel is
@@ -31,15 +32,10 @@
 // flight recorder and per-kind atomic counters are always on and
 // allocation-free per event.
 //
-// The expensive shareable state — topology, fault overlay, distance plane —
-// comes from the CachePool; the per-request core::CacheHandle is pre-seeded
-// with the pooled plane so composed strategies reuse one fill per machine.
-//
 // Error mapping: anything a request throws becomes a structured error
 // response carrying the exit-code taxonomy category (svc/protocol.hpp);
-// conditions the CLI reports as "usage" (exit 1) — e.g. a non-square
-// mapping request — are raised as svc::usage_error so the client exits 1
-// just like the CLI would.
+// usage mistakes (topomap::usage_error, e.g. a non-square mapping request)
+// come back as "usage", so the client exits 1 just like the CLI does.
 #pragma once
 
 #include <atomic>
@@ -111,8 +107,8 @@ class Service {
   std::size_t event_log_rotations() const { return event_log_.rotations(); }
 
  private:
-  /// Stage timings for one in-flight request, threaded through the run_*
-  /// paths so the pool-acquire stage can be attributed exactly.
+  /// Stage timings for one in-flight request, threaded through the pool
+  /// acquire so that stage can be attributed exactly.
   struct Lifecycle {
     const char* kind = "";
     std::string corr;
@@ -121,15 +117,8 @@ class Service {
   };
 
   json::Value dispatch(const Request& req, Lifecycle& lc);
-  json::Value run_map(const Request& req, Lifecycle& lc);
-  json::Value run_explain(const Request& req, Lifecycle& lc);
-  json::Value run_evacuate(const Request& req, Lifecycle& lc);
-  json::Value run_optimal(const Request& req, Lifecycle& lc);
   json::Value run_status() const;
   json::Value run_flight() const;
-  MachineEntryPtr acquire_timed(const std::string& topology,
-                                const topo::FaultSpec& faults,
-                                Lifecycle& lc);
   void finish_request(const Request& req, const Lifecycle& lc, bool ok,
                       std::uint64_t t_start_ns, std::uint64_t total_ns);
   void write_report(const Request& req, bool ok) const;

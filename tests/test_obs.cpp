@@ -17,7 +17,7 @@
 #include "graph/builders.hpp"
 #include "graph/task_graph.hpp"
 #include "obs/histogram.hpp"
-#include "obs/json.hpp"
+#include "support/json.hpp"
 #include "obs/obs.hpp"
 #include "obs/registry.hpp"
 #include "obs/report.hpp"
@@ -32,7 +32,7 @@
 namespace topomap::obs {
 namespace {
 
-using json::Value;
+using support::json::Value;
 
 // Every test starts and ends with a clean, disabled registry so suites can
 // run in any order (and so the obs-off CI slice sees no stray state).
@@ -74,8 +74,8 @@ TEST_F(ObsTest, JsonPreservesMemberOrderAndShortNumbers) {
   obj.set("zulu", 1);
   obj.set("alpha", 0.25);
   EXPECT_EQ(obj.dump(), R"({"zulu":1,"alpha":0.25})");
-  EXPECT_EQ(json::format_number(3.0), "3");
-  EXPECT_EQ(json::format_number(0.1), "0.1");
+  EXPECT_EQ(support::json::format_number(3.0), "3");
+  EXPECT_EQ(support::json::format_number(0.1), "0.1");
 }
 
 TEST_F(ObsTest, JsonParseErrorsThrowWithOffset) {

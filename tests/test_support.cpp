@@ -5,8 +5,12 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "support/cli.hpp"
+#include "support/error.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
@@ -145,13 +149,79 @@ TEST(Cli, ParsesFlagsOptionsAndLists) {
 }
 
 TEST(Cli, RejectsUnknownAndMalformed) {
+  // A malformed command line is a usage mistake (exit 1), never a silent
+  // "parsed nothing" that a caller could mistake for --help.
+  const auto parse = [](std::vector<const char*> args) {
+    CliParser cli("test");
+    cli.add_option("iters", "iterations", "100");
+    cli.add_flag("fast", "run fast");
+    args.insert(args.begin(), "prog");
+    return cli.parse(static_cast<int>(args.size()), args.data());
+  };
+  EXPECT_THROW(parse({"--nope=1"}), usage_error);
+  EXPECT_THROW(parse({"positional"}), usage_error);
+  EXPECT_THROW(parse({"--iters"}), usage_error);       // needs a value
+  EXPECT_THROW(parse({"--fast=yes"}), usage_error);    // flag with a value
+  EXPECT_FALSE(parse({"--help"}));                      // help is no error
+  EXPECT_TRUE(parse({"--iters", "5", "--fast"}));
+}
+
+/// The precondition_error message `read` throws on a parser given `arg`.
+std::string numeric_error(const char* arg,
+                          void (*read)(const CliParser& cli)) {
   CliParser cli("test");
-  cli.add_option("iters", "iterations", "100");
-  const char* bad1[] = {"prog", "--nope=1"};
-  EXPECT_FALSE(CliParser(cli).parse(2, bad1));
-  const char* bad2[] = {"prog", "positional"};
-  CliParser cli2("test");
-  EXPECT_FALSE(cli2.parse(2, bad2));
+  cli.add_option("seed", "seed", "1");
+  cli.add_option("bw", "bandwidth", "2.5");
+  cli.add_option("sizes", "sweep sizes", "1,2,3");
+  cli.add_option("rates", "rates", "0.5,1");
+  const char* argv[] = {"prog", arg};
+  EXPECT_TRUE(cli.parse(2, argv));
+  try {
+    read(cli);
+  } catch (const precondition_error& e) {
+    return e.what();
+  }
+  return "no precondition_error";
+}
+
+TEST(Cli, NumericValuesFailAsPreconditionsNamingTheOption) {
+  const auto seed = [](const CliParser& cli) { (void)cli.integer("seed"); };
+  const auto bw = [](const CliParser& cli) { (void)cli.real("bw"); };
+  EXPECT_EQ(numeric_error("--seed=abc", seed),
+            "option --seed is not an integer: 'abc'");
+  EXPECT_EQ(numeric_error("--seed=1x", seed),
+            "option --seed is not an integer: '1x'");
+  EXPECT_EQ(numeric_error("--seed=99999999999999999999", seed),
+            "option --seed is out of range: '99999999999999999999'");
+  EXPECT_EQ(numeric_error("--bw=fast", bw),
+            "option --bw is not a number: 'fast'");
+  EXPECT_EQ(numeric_error("--bw=1e999", bw),
+            "option --bw is out of range: '1e999'");
+  EXPECT_EQ(numeric_error("--sizes=1,x,3",
+                          [](const CliParser& cli) {
+                            (void)cli.int_list("sizes");
+                          }),
+            "option --sizes is not an integer: 'x'");
+  EXPECT_EQ(numeric_error("--rates=0.5,?",
+                          [](const CliParser& cli) {
+                            (void)cli.real_list("rates");
+                          }),
+            "option --rates is not a number: '?'");
+  EXPECT_EQ(parse_integer("-7", "n"), -7);
+  EXPECT_DOUBLE_EQ(parse_real("0.25", "r"), 0.25);
+  EXPECT_THROW((void)parse_integer("", "n"), precondition_error);
+}
+
+TEST(Cli, RunMainMapsTheErrorTaxonomyOntoExitCodes) {
+  const auto rc = [](int (*body)(int, char**)) {
+    return run_main(0, nullptr, body);
+  };
+  EXPECT_EQ(rc([](int, char**) { return 0; }), 0);
+  EXPECT_EQ(rc([](int, char**) -> int { throw usage_error("u"); }), 1);
+  EXPECT_EQ(rc([](int, char**) -> int { throw precondition_error("p"); }), 2);
+  EXPECT_EQ(rc([](int, char**) -> int { throw invariant_error("i"); }), 3);
+  EXPECT_EQ(rc([](int, char**) -> int { throw io_error("o"); }), 4);
+  EXPECT_EQ(rc([](int, char**) -> int { throw std::runtime_error("x"); }), 1);
 }
 
 }  // namespace

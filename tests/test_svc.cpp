@@ -7,12 +7,14 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <map>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/cache_handle.hpp"
@@ -27,6 +29,7 @@
 #include "svc/client.hpp"
 #include "svc/frame.hpp"
 #include "svc/protocol.hpp"
+#include "svc/run.hpp"
 #include "svc/server.hpp"
 #include "svc/service.hpp"
 #include "topo/distance_cache.hpp"
@@ -199,7 +202,7 @@ TEST(SvcProtocol, ErrorMappingFollowsExitCodeTaxonomy) {
   auto category_of = [](std::exception_ptr e) {
     return svc::make_error_response("id", e).error.category;
   };
-  EXPECT_EQ(category_of(std::make_exception_ptr(svc::usage_error("u"))),
+  EXPECT_EQ(category_of(std::make_exception_ptr(usage_error("u"))),
             "usage");
   EXPECT_EQ(category_of(std::make_exception_ptr(precondition_error("p"))),
             "precondition");
@@ -210,6 +213,13 @@ TEST(SvcProtocol, ErrorMappingFollowsExitCodeTaxonomy) {
   EXPECT_EQ(svc::exit_code_for("precondition"), 2);
   EXPECT_EQ(svc::exit_code_for("invariant"), 3);
   EXPECT_EQ(svc::exit_code_for("io"), 4);
+  // raise() is the inverse: the client rethrows the server-side type.
+  EXPECT_THROW((svc::ErrorInfo{"usage", "u"}.raise()), usage_error);
+  EXPECT_THROW((svc::ErrorInfo{"precondition", "p"}.raise()),
+               precondition_error);
+  EXPECT_THROW((svc::ErrorInfo{"invariant", "i"}.raise()), invariant_error);
+  EXPECT_THROW((svc::ErrorInfo{"io", "o"}.raise()), io_error);
+  EXPECT_THROW((svc::ErrorInfo{"bogus", "b"}.raise()), usage_error);
   // A response survives its own wire round-trip.
   const svc::Response err =
       svc::make_error_response("id", std::make_exception_ptr(io_error("x")));
@@ -421,6 +431,134 @@ TEST(SvcService, MapResponseMatchesDirectLibraryExecution) {
   EXPECT_EQ(resp.result.at("strategy").as_string(), "TopoLB+RefineTopoLB");
 }
 
+/// `run` (one of svc::run_*) on a plane-less make_machine entry, the way
+/// the one-shot CLI runs it, as the response's result document.
+template <typename Run>
+svc::json::Value run_one_shot(const svc::Request& req, Run run) {
+  auto result = run(req, svc::make_machine);
+  EXPECT_EQ(result.machine->plane, nullptr);
+  return svc::to_json(std::move(result), req);
+}
+
+/// One request through both front ends' path: the one-shot CLI's and
+/// Service::handle on the pooled, plane-seeded entry (what topomapd runs).
+/// Returns both response documents; an error becomes the structured error
+/// response either way.
+std::pair<std::string, std::string> run_both_paths(const svc::Request& req) {
+  svc::Response direct;
+  direct.id = req.id;
+  try {
+    switch (req.kind) {
+      case svc::RequestKind::kMap:
+        direct.result = run_one_shot(req, svc::run_map);
+        break;
+      case svc::RequestKind::kExplain:
+        direct.result = run_one_shot(req, svc::run_explain);
+        break;
+      case svc::RequestKind::kEvacuate:
+        direct.result = run_one_shot(req, svc::run_evacuate);
+        break;
+      default:
+        direct.result = run_one_shot(req, svc::run_optimal);
+        break;
+    }
+  } catch (...) {
+    direct = svc::make_error_response(req.id, std::current_exception());
+  }
+  svc::Service service;
+  const svc::Response served = service.handle(req);
+  return {direct.to_json().dump(), served.to_json().dump()};
+}
+
+TEST(SvcService, OneShotAndServedPathsAgreeOnEveryKindAndMachine) {
+  struct Machine {
+    const char* name;
+    const char* topology;
+    const char* fail_node;
+    const char* degrade_link;
+    const char* square_tasks;  // one task per alive processor
+  };
+  const Machine machines[] = {
+      {"healthy", "torus:4x4", "", "", "stencil2d:4x4"},
+      {"degraded-link", "torus:4x4", "", "0:1:0.5,5:9:0.25", "stencil2d:4x4"},
+      {"failed-node", "torus:4x4", "5", "", "stencil2d:3x5"},
+      // mesh:5 split in two by a dead middle processor: 2 + 2 alive.
+      {"partitioned", "mesh:5", "2", "", "ring:4"},
+  };
+  const svc::RequestKind kinds[] = {
+      svc::RequestKind::kMap, svc::RequestKind::kExplain,
+      svc::RequestKind::kEvacuate, svc::RequestKind::kOptimal};
+  for (const Machine& m : machines) {
+    const std::string name = m.name;
+    for (const svc::RequestKind kind : kinds) {
+      svc::Request req;
+      req.id = name + "/" + svc::to_string(kind);
+      req.kind = kind;
+      req.topology = m.topology;
+      req.fail_node = m.fail_node;
+      req.degrade_link = m.degrade_link;
+      req.tasks = m.square_tasks;
+      req.strategy = "topolb+refine";
+      req.seed = 5;
+      if (kind == svc::RequestKind::kExplain) req.baseline = "greedy";
+      if (kind == svc::RequestKind::kEvacuate && m.fail_node[0] == '\0')
+        req.tasks = "stencil2d:3x5";  // leaves room for a failed processor
+      if (kind == svc::RequestKind::kOptimal && name != "partitioned") {
+        req.tasks = "stencil2d:2x3";
+        // TopoLB needs one task per processor unless faults leave it the
+        // alive subset to fill.
+        req.compare = name == "healthy" ? "" : "topolb";
+      }
+      const auto [direct, served] = run_both_paths(req);
+      EXPECT_EQ(direct, served) << req.id;
+      // Evacuate needs faults (a usage error), and the split machine's
+      // 2-processor primary component cannot host explain's, evacuate's
+      // or optimal's 4 tasks (a precondition error) — on both paths.
+      const bool expect_ok =
+          !(name == "healthy" && kind == svc::RequestKind::kEvacuate) &&
+          !(name == "partitioned" && kind != svc::RequestKind::kMap);
+      EXPECT_EQ(served.find("\"status\":\"ok\"") != std::string::npos,
+                expect_ok)
+          << served;
+    }
+  }
+
+  // Explain's blind baseline, on the soft-faulted machine only.
+  svc::Request blind;
+  blind.id = "blind";
+  blind.kind = svc::RequestKind::kExplain;
+  blind.tasks = "stencil2d:4x4";
+  blind.topology = "torus:4x4";
+  blind.degrade_link = "0:1:0.2,5:9:0.25";
+  blind.baseline = "topolb";
+  blind.baseline_blind = true;
+  const auto [direct, served] = run_both_paths(blind);
+  EXPECT_EQ(direct, served);
+  EXPECT_NE(served.find("\"blind\":true"), std::string::npos) << served;
+}
+
+TEST(SvcService, MapQuarantinesOnTheSplitMachineOnBothPaths) {
+  svc::Request req;
+  req.id = "split";
+  req.kind = svc::RequestKind::kMap;
+  req.tasks = "ring:4";
+  req.topology = "mesh:5";
+  req.fail_node = "2";
+  req.seed = 7;
+  const svc::MapResult r = svc::run_map(req, svc::make_machine);
+  EXPECT_EQ(r.quarantined.size(), 2u);
+  EXPECT_NE(r.partition_note.find("split into 2 components"),
+            std::string::npos);
+  // Only the placed tasks reach the mapping bytes.
+  const std::string bytes = svc::mapping_bytes(r.mapping);
+  EXPECT_EQ(std::count(bytes.begin(), bytes.end(), '\n'), 2);
+  svc::Service service;
+  const svc::Response resp = service.handle(req);
+  ASSERT_TRUE(resp.ok) << resp.error.message;
+  EXPECT_EQ(resp.result.at("mapping").as_string(), bytes);
+  EXPECT_EQ(resp.result.at("quarantined").items().size(), 2u);
+}
+
 TEST(SvcService, UsageErrorsKeepCliExitCodeSemantics) {
   svc::Service service;
   svc::Request req;
@@ -561,6 +699,27 @@ TEST(SvcServer, MalformedTrafficGetsStructuredErrorsNotHangs) {
   }
   server.stop();
   server.join();
+}
+
+TEST(SvcTcp, EndpointsAndPortsOutsideTheValidRangeAreRejected) {
+  EXPECT_EQ(svc::parse_tcp_endpoint("localhost:8080"),
+            (std::pair<std::string, int>{"localhost", 8080}));
+  EXPECT_EQ(svc::parse_tcp_endpoint("::1:65535"),
+            (std::pair<std::string, int>{"::1", 65535}));
+  for (const char* bad : {"localhost:abc", "localhost:", "localhost:0",
+                          "localhost:70000", "localhost:-1", ":80",
+                          "localhost", "localhost:99999999999999999999"})
+    EXPECT_THROW((void)svc::parse_tcp_endpoint(bad), precondition_error)
+        << bad;
+
+  // Server side: a port that does not fit 16 bits must not wrap silently.
+  for (const int port : {70000, -1}) {
+    svc::ServerOptions options;
+    options.socket_path = unique_socket_path("badport");
+    options.tcp_port = port;
+    svc::Server server(options);
+    EXPECT_THROW(server.start(), precondition_error) << port;
+  }
 }
 
 TEST(SvcServer, OptionalTcpListenerSpeaksTheSameFraming) {

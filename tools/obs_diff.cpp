@@ -27,13 +27,14 @@
 #include <sstream>
 #include <string>
 
-#include "obs/json.hpp"
 #include "obs/report.hpp"
+#include "support/cli.hpp"
+#include "support/json.hpp"
 #include "support/stats.hpp"
 
 namespace {
 
-using topomap::obs::json::Value;
+using topomap::support::json::Value;
 
 Value load_report(const std::string& path) {
   std::ifstream is(path);
@@ -64,7 +65,7 @@ std::map<std::string, Value> section(const Value& doc, const char* name) {
   return out;
 }
 
-std::string fmt(double x) { return topomap::obs::json::format_number(x); }
+std::string fmt(double x) { return topomap::support::json::format_number(x); }
 
 /// Timing-derived histograms (duration buckets) carry wall-clock payloads:
 /// their deltas are inspection output, never exit status — the same rule
@@ -119,13 +120,13 @@ int diff_histogram(const std::string& name, const Value& va, const Value& vb,
 int main(int argc, char** argv) {
   std::string path_a, path_b;
   bool show_all = false;
-  double tolerance = 0.0;
+  std::string tolerance_arg = "0";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--all") {
       show_all = true;
     } else if (arg.rfind("--tolerance=", 0) == 0) {
-      tolerance = std::stod(arg.substr(12));
+      tolerance_arg = arg.substr(12);
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: obs_diff A.json B.json [--all] [--tolerance=R]\n";
       return 0;
@@ -145,6 +146,7 @@ int main(int argc, char** argv) {
 
   int differences = 0;
   try {
+    const double tolerance = topomap::parse_real(tolerance_arg, "--tolerance");
     const Value a = load_report(path_a);
     const Value b = load_report(path_b);
 

@@ -5,6 +5,12 @@
 //   topomap partition --tasks=<spec> --parts=K [--partitioner=multilevel]
 //   topomap pipeline  --tasks=<spec> --topology=<spec>  (objects > procs)
 //   topomap evacuate  map, inject faults, repair the placement
+//   topomap explain   per-link contention attribution, timeline, diff
+//   topomap optimal   exact branch-and-bound optimum + optimality gap
+//   topomap client    one request against a running topomapd
+//
+// map/simulate/explain/evacuate/optimal run the execution path topomapd
+// serves (svc/run.hpp) on a plane-less machine and print its result.
 //
 // map/simulate/evacuate accept fault injection: --fail-link=a:b[,c:d...],
 // --fail-node=p[,q...], --degrade-link=a:b:health[,...] (soft faults),
@@ -31,35 +37,35 @@
 // and warns that they are empty.
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <thread>
+#include <utility>
 
 #include "core/contention.hpp"
-#include "core/fault_aware.hpp"
 #include "core/metrics.hpp"
-#include "core/optimal_lb.hpp"
+#include "core/strategy.hpp"
 #include "core/validate.hpp"
 #include "graph/builders.hpp"
 #include "graph/factory.hpp"
-#include "graph/quotient.hpp"
 #include "netsim/app.hpp"
 #include "obs/obs.hpp"
 #include "obs/report.hpp"
 #include "partition/partition.hpp"
 #include "runtime/chaos.hpp"
 #include "runtime/dynamic_lb.hpp"
-#include "runtime/evacuate.hpp"
 #include "runtime/lb_manager.hpp"
-#include "runtime/rank_reorder.hpp"
 #include "support/cli.hpp"
 #include "support/error.hpp"
+#include "support/json.hpp"
 #include "support/table.hpp"
 #include "svc/client.hpp"
 #include "svc/metrics.hpp"
 #include "svc/protocol.hpp"
-#include "topo/components.hpp"
+#include "svc/run.hpp"
 #include "topo/distance_cache.hpp"
 #include "topo/factory.hpp"
 #include "topo/fault_spec.hpp"
@@ -82,12 +88,9 @@ struct ObsOutputs {
   std::string stats_path;
   obs::Report report;
 
-  bool active() const { return !trace_path.empty() || !stats_path.empty(); }
-
-  void init(const CliParser& cli) {
-    trace_path = cli.str("trace");
-    stats_path = cli.str("stats");
-    if (!active()) return;
+  explicit ObsOutputs(const CliParser& cli)
+      : trace_path(cli.str("trace")), stats_path(cli.str("stats")) {
+    if (trace_path.empty() && stats_path.empty()) return;
 #if defined(TOPOMAP_OBS_ENABLED)
     obs::set_enabled(true);
 #else
@@ -97,8 +100,19 @@ struct ObsOutputs {
 #endif
   }
 
+  /// The run's identity metadata (the seed as typed).
+  void describe(const std::string& command, const graph::TaskGraph& g,
+                const svc::MachineEntry& machine, const std::string& strategy,
+                const CliParser& cli) {
+    report.set_meta("command", command);
+    report.set_meta("workload", g.label());
+    report.set_meta("machine", machine.base->name());
+    report.set_meta("strategy", strategy);
+    report.set_meta("seed", cli.str("seed"));
+  }
+
   void meta(const std::string& key, double value) {
-    report.set_meta(key, obs::json::format_number(value));
+    report.set_meta(key, support::json::format_number(value));
   }
 
   void finish() {
@@ -129,21 +143,78 @@ void add_fault_options(CliParser& cli) {
   cli.add_option("fault-seed", "RNG seed for random fault selection", "42");
 }
 
-topo::FaultSpec parse_fault_options(const CliParser& cli) {
-  return topo::parse_fault_spec(
-      cli.str("fail-link"), cli.str("fail-node"), cli.str("degrade-link"),
-      cli.integer("random-link-faults"), cli.integer("random-node-faults"),
-      cli.integer("random-degrades"),
-      static_cast<std::uint64_t>(cli.integer("fault-seed")),
-      cli.str("restore-node"), cli.str("restore-link"));
+/// The svc::Request parameter flags of `kind` — every kind's for the
+/// client — in one table shared by the one-shot commands and `client`.
+void add_request_options(CliParser& cli,
+                         std::optional<svc::RequestKind> kind,
+                         const std::string& tasks = "stencil2d:8x8",
+                         const std::string& topology = "torus:8x8") {
+  using svc::RequestKind;
+  const auto takes = [&](RequestKind k) { return !kind || *kind == k; };
+  cli.add_option("tasks", "workload spec", tasks);
+  cli.add_option("topology", "machine spec", topology);
+  if (kind != RequestKind::kOptimal)  // optimal maps no strategy of its own
+    cli.add_option("strategy", "mapping strategy", "topolb");
+  cli.add_option("seed", "RNG seed", "1");
+  if (takes(RequestKind::kExplain)) {
+    cli.add_option("baseline", "baseline strategy to diff against", "");
+    cli.add_flag("baseline-blind",
+                 "map the baseline on the pristine machine (ignore soft "
+                 "faults) — reproduces health-blind placement");
+    cli.add_option("top-k", "contributing task pairs kept per link", "3");
+  }
+  if (takes(RequestKind::kEvacuate)) {
+    cli.add_option("refine-passes", "bounded refine sweeps after evacuation",
+                   "1");
+    cli.add_option("load-weight",
+                   "neighbourhood-load term weight in the destination score "
+                   "(0 = pure hop-bytes)",
+                   "0");
+  }
+  if (takes(RequestKind::kOptimal)) {
+    cli.add_option("budget", "branch-and-bound node budget", "20000000");
+    cli.add_option("compare",
+                   "strategy spec to gap against the optimum ('' skips)",
+                   "topolb");
+    cli.add_flag("no-symmetry",
+                 "explore every root placement (disable automorphism "
+                 "pruning)");
+  }
+  add_fault_options(cli);
 }
 
-/// Build the fault overlay described by the fault options, or null when no
-/// fault was requested (topo::parse_fault_spec/build_fault_overlay do the
-/// real work and are unit-tested directly).
-std::shared_ptr<topo::FaultOverlay> make_fault_overlay(
-    const CliParser& cli, const topo::TopologyPtr& base) {
-  return topo::build_fault_overlay(base, parse_fault_options(cli));
+/// The request the registered request flags describe (kind left at its
+/// default; the fault flags stay verbatim, as the protocol carries them).
+svc::Request request_from_cli(const CliParser& cli) {
+  svc::Request req;
+  req.tasks = cli.str("tasks");
+  req.topology = cli.str("topology");
+  if (cli.has("strategy")) req.strategy = cli.str("strategy");
+  req.seed = static_cast<std::uint64_t>(cli.integer("seed"));
+  if (cli.has("baseline")) {
+    req.baseline = cli.str("baseline");
+    req.baseline_blind = cli.flag("baseline-blind");
+    req.top_k = static_cast<int>(cli.integer("top-k"));
+  }
+  if (cli.has("refine-passes")) {
+    req.refine_passes = static_cast<int>(cli.integer("refine-passes"));
+    req.load_weight = cli.real("load-weight");
+  }
+  if (cli.has("budget")) {
+    req.budget = cli.integer("budget");
+    req.compare = cli.str("compare");
+    req.no_symmetry = cli.flag("no-symmetry");
+  }
+  req.fail_link = cli.str("fail-link");
+  req.fail_node = cli.str("fail-node");
+  req.degrade_link = cli.str("degrade-link");
+  req.restore_node = cli.str("restore-node");
+  req.restore_link = cli.str("restore-link");
+  req.random_link_faults = cli.integer("random-link-faults");
+  req.random_node_faults = cli.integer("random-node-faults");
+  req.random_degrades = cli.integer("random-degrades");
+  req.fault_seed = static_cast<std::uint64_t>(cli.integer("fault-seed"));
+  return req;
 }
 
 /// Open `path` for writing; throws io_error (CLI exit code 4) when the
@@ -155,7 +226,26 @@ std::ofstream open_output(const std::string& path) {
   return os;
 }
 
-void print_fault_summary(const topo::FaultOverlay& overlay) {
+/// Writes the result's mapping bytes to --output, when given.
+void write_mapping(const CliParser& cli, const std::string& bytes,
+                   const char* what = "mapping") {
+  if (const std::string out = cli.str("output"); !out.empty()) {
+    std::ofstream os = open_output(out);
+    os << bytes;
+    std::cout << what << " written to " << out << "\n";
+  }
+}
+
+void print_workload(const graph::TaskGraph& g,
+                    const svc::MachineEntry& machine) {
+  std::cout << "workload:       " << g.label() << " (" << g.num_edges()
+            << " edges, " << g.total_comm_bytes() << " B/iter)\n"
+            << "machine:        " << machine.base->name() << "\n";
+}
+
+void print_fault_summary(const svc::MachineEntry& machine) {
+  if (!machine.overlay) return;
+  const topo::FaultOverlay& overlay = *machine.overlay;
   std::cout << "faults:         " << overlay.num_failed_nodes() << " nodes, "
             << overlay.num_failed_links() << " links, "
             << overlay.num_degraded_links() << " degraded ("
@@ -163,33 +253,42 @@ void print_fault_summary(const topo::FaultOverlay& overlay) {
             << " processors alive)\n";
 }
 
-void print_mapping_report(const graph::TaskGraph& g,
-                          const topo::Topology& topo, const core::Mapping& m,
+void print_mapping_report(const svc::MappingMetrics& metrics,
+                          const topo::Topology& topo,
                           const std::string& strategy_name) {
   std::cout << "strategy:       " << strategy_name << "\n";
-  std::cout << "hops-per-byte:  " << core::hops_per_byte(g, topo, m)
+  std::cout << "hops-per-byte:  " << metrics.hops_per_byte
             << "  (random expectation " << core::expected_random_hops(topo)
             << ")\n";
-  std::cout << "hop-bytes:      " << core::hop_bytes(g, topo, m) << "\n";
-  try {
-    const auto links = core::link_loads(g, topo, m);
-    std::cout << "link loads:     max " << links.max_bytes << " B, mean "
-              << links.mean_bytes << " B over " << links.links_total
-              << " directed links (" << links.links_used << " used)\n";
-  } catch (const precondition_error&) {
+  std::cout << "hop-bytes:      " << metrics.hop_bytes << "\n";
+  if (const auto& links = metrics.link_loads)
+    std::cout << "link loads:     max " << links->max_bytes << " B, mean "
+              << links->mean_bytes << " B over " << links->links_total
+              << " directed links (" << links->links_used << " used)\n";
+  else
     std::cout << "link loads:     (topology has no processor-level routes)\n";
-  }
+}
+
+/// Runs `run` — one of svc::run_* — on the request the flags describe,
+/// with a plane-less machine, under the command's root trace span.
+template <typename Run>
+auto run_one_shot(const CliParser& cli, const char* span, Run run) {
+  svc::Request req = request_from_cli(cli);
+  obs::ScopedSpan root_span(span);
+  auto result = run(req, svc::make_machine);
+  return std::make_pair(std::move(req), std::move(result));
+}
+
+netsim::ServiceModel parse_model(const std::string& model) {
+  return model == "storeforward" ? netsim::ServiceModel::kStoreForward
+                                 : netsim::ServiceModel::kWormhole;
 }
 
 int cmd_map(int argc, const char* const* argv, bool simulate) {
   CliParser cli(simulate ? "map a workload and simulate its execution"
                          : "map a workload onto a machine");
-  cli.add_option("tasks", "workload spec", "stencil2d:8x8");
-  cli.add_option("topology", "machine spec", "torus:8x8");
-  cli.add_option("strategy", "mapping strategy", "topolb");
-  cli.add_option("seed", "RNG seed", "1");
+  add_request_options(cli, svc::RequestKind::kMap);
   cli.add_option("output", "write 'task processor' lines here", "");
-  add_fault_options(cli);
   add_obs_options(cli);
   if (simulate) {
     cli.add_option("iterations", "app iterations", "200");
@@ -200,88 +299,29 @@ int cmd_map(int argc, const char* const* argv, bool simulate) {
   }
   if (!cli.parse(argc, argv)) return 0;
 
-  ObsOutputs obs_out;
-  obs_out.init(cli);
+  ObsOutputs obs_out(cli);
+  const auto [req, r] =
+      run_one_shot(cli, simulate ? "cli/simulate" : "cli/map", svc::run_map);
+  const svc::MachineEntry& machine = *r.machine;
+  if (!r.quarantined.empty())
+    TOPOMAP_REQUIRE(!simulate,
+                    "cannot simulate a partitioned machine whose primary "
+                    "component is too small for the workload — " +
+                        r.partition_note);
+  const graph::TaskGraph& g = r.graph;
+  obs_out.describe(simulate ? "simulate" : "map", g, machine, r.strategy,
+                   cli);
+  obs_out.meta("hop_bytes", r.metrics.hop_bytes);
+  obs_out.meta("hops_per_byte", r.metrics.hops_per_byte);
 
-  Rng rng(static_cast<std::uint64_t>(cli.integer("seed")));
-  const graph::TaskGraph g = graph::make_task_graph(cli.str("tasks"), rng);
-  const auto topo = topo::make_topology(cli.str("topology"));
-  const auto overlay = make_fault_overlay(cli, topo);
-  // All metrics/simulation run against the (possibly faulted) machine view.
-  const topo::Topology& machine = overlay ? *overlay : *topo;
-  const auto strategy = core::make_strategy(cli.str("strategy"));
-
-  obs_out.report.set_meta("command", simulate ? "simulate" : "map");
-  obs_out.report.set_meta("workload", g.label());
-  obs_out.report.set_meta("machine", topo->name());
-  obs_out.report.set_meta("strategy", strategy->name());
-  obs_out.report.set_meta("seed", cli.str("seed"));
-
-  core::Mapping m;
-  std::vector<int> quarantined;
-  std::string partition_note;
-  {
-    obs::ScopedSpan root_span(simulate ? "cli/simulate" : "cli/map");
-    if (overlay) {
-      // Maps onto the primary component when the faults split the machine;
-      // on overflow the lightest communicators are quarantined unplaced.
-      const topo::ComponentSplit split = topo::connected_components(*overlay);
-      if (split.partitioned() &&
-          g.num_vertices() > static_cast<int>(split.primary().size())) {
-        TOPOMAP_REQUIRE(!simulate,
-                        "cannot simulate a partitioned machine whose primary "
-                        "component is too small for the workload — " +
-                            topo::describe_partition(*overlay, split));
-        core::PartitionedMapResult pr =
-            core::map_on_largest_component(*strategy, g, *overlay, rng);
-        m = std::move(pr.mapping);
-        quarantined = std::move(pr.quarantined);
-        partition_note = topo::describe_partition(*overlay, split);
-      } else {
-        m = core::map_on_alive(*strategy, g, *overlay, rng);
-      }
-    } else {
-      if (g.num_vertices() != topo->size() &&
-          !(strategy->supports_oversubscription() &&
-            g.num_vertices() > topo->size())) {
-        std::cerr << "error: workload has " << g.num_vertices()
-                  << " tasks but the machine has " << topo->size()
-                  << " processors; use `topomap pipeline` or strategy "
-                     "`hier` when tasks > procs\n";
-        return 1;
-      }
-      m = strategy->map(g, *topo, rng);
-    }
-  }
-  // Metrics run on the placed tasks (everything, absent quarantine).
-  const graph::TaskGraph* metric_g = &g;
-  core::Mapping metric_m = m;
-  graph::Subgraph placed_view;
-  if (!quarantined.empty()) {
-    std::vector<int> placed_ids;
-    for (int t = 0; t < g.num_vertices(); ++t)
-      if (m[static_cast<std::size_t>(t)] != core::kUnassigned)
-        placed_ids.push_back(t);
-    placed_view = graph::induced_subgraph(g, placed_ids);
-    metric_g = &placed_view.graph;
-    metric_m.clear();
-    for (int t : placed_ids)
-      metric_m.push_back(m[static_cast<std::size_t>(t)]);
-  }
-  obs_out.meta("hop_bytes", core::hop_bytes(*metric_g, machine, metric_m));
-  obs_out.meta("hops_per_byte",
-               core::hops_per_byte(*metric_g, machine, metric_m));
-
-  std::cout << "workload:       " << g.label() << " (" << g.num_edges()
-            << " edges, " << g.total_comm_bytes() << " B/iter)\n"
-            << "machine:        " << topo->name() << "\n";
-  if (overlay) print_fault_summary(*overlay);
-  if (!partition_note.empty())
-    std::cout << "partition:      " << partition_note << "\n"
-              << "quarantined:    " << quarantined.size() << " of "
+  print_workload(g, machine);
+  print_fault_summary(machine);
+  if (!r.partition_note.empty())
+    std::cout << "partition:      " << r.partition_note << "\n"
+              << "quarantined:    " << r.quarantined.size() << " of "
               << g.num_vertices()
               << " tasks left unplaced (lightest communicators)\n";
-  print_mapping_report(*metric_g, machine, metric_m, strategy->name());
+  print_mapping_report(r.metrics, machine.machine(), r.strategy);
 
   if (simulate) {
     netsim::AppParams app;
@@ -296,35 +336,22 @@ int cmd_map(int argc, const char* const* argv, bool simulate) {
       std::cerr << "error: unknown routing policy " << routing << "\n";
       return 1;
     }
-    const std::string model_str = cli.str("model");
-    const netsim::ServiceModel model =
-        model_str == "storeforward" ? netsim::ServiceModel::kStoreForward
-                                    : netsim::ServiceModel::kWormhole;
-    const auto r = netsim::run_iterative_app(g, machine, m, app, net, model);
-    obs_out.meta("completion_us", r.completion_us);
+    const std::string model = cli.str("model");
+    const auto sim = netsim::run_iterative_app(g, machine.machine(), r.mapping,
+                                               app, net, parse_model(model));
+    obs_out.meta("completion_us", sim.completion_us);
     std::cout << "simulation:     " << app.iterations << " iterations at "
-              << net.bandwidth << " MB/s (" << routing << ", " << model_str
+              << net.bandwidth << " MB/s (" << routing << ", " << model
               << ")\n"
-              << "completion:     " << r.completion_us / 1000.0 << " ms\n"
-              << "msg latency:    avg " << r.avg_message_latency_us
-              << " us, p99 " << r.p99_message_latency_us << " us, max "
-              << r.max_message_latency_us << " us\n"
-              << "busiest link:   " << r.max_link_busy_us / 1000.0
+              << "completion:     " << sim.completion_us / 1000.0 << " ms\n"
+              << "msg latency:    avg " << sim.avg_message_latency_us
+              << " us, p99 " << sim.p99_message_latency_us << " us, max "
+              << sim.max_message_latency_us << " us\n"
+              << "busiest link:   " << sim.max_link_busy_us / 1000.0
               << " ms busy\n";
   }
 
-  if (const std::string out = cli.str("output"); !out.empty()) {
-    std::ofstream os = open_output(out);
-    if (quarantined.empty()) {
-      rts::write_rank_mapping(os, m);
-    } else {
-      // Placed tasks only; quarantined ids live in the report above.
-      for (int t = 0; t < g.num_vertices(); ++t)
-        if (m[static_cast<std::size_t>(t)] != core::kUnassigned)
-          os << t << ' ' << m[static_cast<std::size_t>(t)] << '\n';
-    }
-    std::cout << "mapping written to " << out << "\n";
-  }
+  write_mapping(cli, svc::mapping_bytes(r.mapping));
   obs_out.finish();
   return 0;
 }
@@ -332,35 +359,36 @@ int cmd_map(int argc, const char* const* argv, bool simulate) {
 /// Write the schema-versioned contention artifact ("topomap.obs.contention"
 /// v1): per-link table with top-K contributors, optional busiest-link
 /// timeline, optional baseline stats + mapping diff.
-void write_contention_report(
-    const std::string& path, const obs::json::Value& meta,
-    const core::ContentionReport& attr, int top_k,
-    const netsim::AppResult* sim, const core::ContentionReport* baseline,
-    const std::string& baseline_name, const core::ContentionDiff* diff) {
-  obs::json::Value doc = obs::json::Value::object();
+void write_contention_report(const std::string& path,
+                             const support::json::Value& meta,
+                             const svc::ExplainResult& r,
+                             const svc::Request& req,
+                             const netsim::AppResult* sim) {
+  using support::json::Value;
+  Value doc = Value::object();
   doc.set("schema", core::kContentionSchemaName);
   doc.set("schema_version", core::kContentionSchemaVersion);
   doc.set("meta", meta);
-  doc.set("stats", core::contention_stats_to_json(attr.stats));
-  doc.set("links", core::contention_links_to_json(attr, top_k));
+  doc.set("stats", core::contention_stats_to_json(r.attribution.stats));
+  doc.set("links", core::contention_links_to_json(r.attribution, req.top_k));
   if (sim != nullptr) {
     const netsim::TelemetrySnapshot& snap = sim->telemetry;
-    obs::json::Value timeline = obs::json::Value::object();
+    Value timeline = Value::object();
     timeline.set("sample_us", snap.sample_interval_us);
     timeline.set("completion_us", sim->completion_us);
     auto arr = [](const std::vector<double>& xs) {
-      obs::json::Value a = obs::json::Value::array();
+      Value a = Value::array();
       for (double x : xs) a.push_back(x);
       return a;
     };
     timeline.set("t_us", arr(snap.t_us));
     timeline.set("util_max", arr(snap.util_max));
     timeline.set("queue_depth", arr(snap.queue_depth));
-    obs::json::Value hot = obs::json::Value::array();
+    Value hot = Value::array();
     const std::size_t shown = std::min<std::size_t>(snap.links.size(), 10);
     for (std::size_t i = 0; i < shown; ++i) {
       const netsim::LinkTelemetry& lt = snap.links[i];
-      obs::json::Value v = obs::json::Value::object();
+      Value v = Value::object();
       v.set("from", lt.from);
       v.set("to", lt.to);
       v.set("bytes", lt.bytes);
@@ -373,15 +401,13 @@ void write_contention_report(
     timeline.set("hot_links", std::move(hot));
     doc.set("timeline", std::move(timeline));
   }
-  if (baseline != nullptr) {
-    obs::json::Value b = obs::json::Value::object();
-    b.set("strategy", baseline_name);
-    b.set("stats", core::contention_stats_to_json(baseline->stats));
+  if (r.baseline) {
+    Value b = Value::object();
+    b.set("strategy", req.baseline);
+    b.set("stats", core::contention_stats_to_json(r.baseline->stats));
     doc.set("baseline", std::move(b));
-  }
-  if (diff != nullptr) {
-    obs::json::Value d = obs::json::Value::object();
-    d.set("links", core::contention_diff_to_json(*diff, top_k));
+    Value d = Value::object();
+    d.set("links", core::contention_diff_to_json(r.diff, req.top_k));
     doc.set("diff", std::move(d));
   }
   std::ofstream os(path);
@@ -396,15 +422,7 @@ int cmd_explain(int argc, const char* const* argv) {
   CliParser cli(
       "explain a mapping's link contention: per-link attribution, "
       "busiest-link timeline, and (with --baseline) a mapping diff");
-  cli.add_option("tasks", "workload spec", "stencil2d:8x8");
-  cli.add_option("topology", "machine spec", "torus:8x8");
-  cli.add_option("strategy", "mapping strategy to explain", "topolb");
-  cli.add_option("baseline", "baseline strategy to diff against", "");
-  cli.add_flag("baseline-blind",
-               "map the baseline on the pristine machine (ignore soft "
-               "faults) — reproduces health-blind placement");
-  cli.add_option("seed", "RNG seed", "1");
-  cli.add_option("top-k", "contributing task pairs kept per link", "3");
+  add_request_options(cli, svc::RequestKind::kExplain);
   cli.add_option("report", "write the topomap.obs.contention JSON here", "");
   cli.add_option("iterations",
                  "simulated app iterations for the timeline (0 = skip "
@@ -416,105 +434,32 @@ int cmd_explain(int argc, const char* const* argv) {
   cli.add_option("sample-us", "telemetry sampling window (virtual us)",
                  "100");
   cli.add_option("output", "write 'task processor' lines here", "");
-  add_fault_options(cli);
   add_obs_options(cli);
   if (!cli.parse(argc, argv)) return 0;
 
-  ObsOutputs obs_out;
-  obs_out.init(cli);
+  ObsOutputs obs_out(cli);
+  const auto [req, r] = run_one_shot(cli, "cli/explain", svc::run_explain);
+  const svc::MachineEntry& machine = *r.machine;
+  const graph::TaskGraph& g = r.graph;
+  obs_out.describe("explain", g, machine, r.strategy, cli);
+  obs_out.meta("hop_bytes", r.hop_bytes);
 
-  const int top_k = static_cast<int>(cli.integer("top-k"));
-  Rng rng(static_cast<std::uint64_t>(cli.integer("seed")));
-  const graph::TaskGraph g = graph::make_task_graph(cli.str("tasks"), rng);
-  const auto topo = topo::make_topology(cli.str("topology"));
-  const auto overlay = make_fault_overlay(cli, topo);
-  const topo::Topology& machine = overlay ? *overlay : *topo;
-  const auto strategy = core::make_strategy(cli.str("strategy"));
-
-  obs_out.report.set_meta("command", "explain");
-  obs_out.report.set_meta("workload", g.label());
-  obs_out.report.set_meta("machine", topo->name());
-  obs_out.report.set_meta("strategy", strategy->name());
-  obs_out.report.set_meta("seed", cli.str("seed"));
-
-  const std::string baseline_spec = cli.str("baseline");
-  const bool baseline_blind = cli.flag("baseline-blind");
-  if (baseline_blind && baseline_spec.empty()) {
-    std::cerr << "error: --baseline-blind needs --baseline=<strategy>\n";
-    return 1;
-  }
-  if (baseline_blind && overlay &&
-      (overlay->num_failed_nodes() > 0 || overlay->num_failed_links() > 0)) {
-    std::cerr << "error: --baseline-blind supports soft faults only (a "
-                 "blind mapping may land on failed processors)\n";
-    return 1;
-  }
-
-  core::Mapping m;
-  core::Mapping baseline_m;
-  {
-    obs::ScopedSpan root_span("cli/explain");
-    if (overlay) {
-      m = core::map_on_alive(*strategy, g, *overlay, rng);
-    } else {
-      if (g.num_vertices() != topo->size() &&
-          !(strategy->supports_oversubscription() &&
-            g.num_vertices() > topo->size())) {
-        std::cerr << "error: workload has " << g.num_vertices()
-                  << " tasks but the machine has " << topo->size()
-                  << " processors; use `topomap pipeline` or strategy "
-                     "`hier` when tasks > procs\n";
-        return 1;
-      }
-      m = strategy->map(g, *topo, rng);
-    }
-    if (!baseline_spec.empty()) {
-      const auto baseline_strategy = core::make_strategy(baseline_spec);
-      Rng baseline_rng(static_cast<std::uint64_t>(cli.integer("seed")));
-      if (overlay && !baseline_blind) {
-        baseline_m =
-            core::map_on_alive(*baseline_strategy, g, *overlay, baseline_rng);
-      } else {
-        // Blind (or no faults): the baseline maps on the pristine machine
-        // but is *evaluated* on the actual (possibly degraded) one.
-        topo::FaultOverlay healthy(topo);
-        baseline_m =
-            core::map_on_alive(*baseline_strategy, g, healthy, baseline_rng);
-      }
-    }
-  }
-
-  std::cout << "workload:       " << g.label() << " (" << g.num_edges()
-            << " edges, " << g.total_comm_bytes() << " B/iter)\n"
-            << "machine:        " << topo->name() << "\n";
-  if (overlay) print_fault_summary(*overlay);
-  std::cout << "strategy:       " << strategy->name() << "\n";
-
-  core::ContentionReport attr;
-  try {
-    attr = core::attribute_link_loads(g, machine, m);
-  } catch (const precondition_error& e) {
-    std::cerr << "error: this machine has no processor-level routes to "
-                 "attribute ("
-              << e.what() << ")\n";
-    return 1;
-  }
-  const double hb = core::hop_bytes(g, machine, m);
-  obs_out.meta("hop_bytes", hb);
-  std::cout << "hop-bytes:      " << hb;
-  if (hb == attr.stats.total_bytes) {
+  print_workload(g, machine);
+  print_fault_summary(machine);
+  std::cout << "strategy:       " << r.strategy << "\n";
+  std::cout << "hop-bytes:      " << r.hop_bytes;
+  if (r.hop_bytes == r.attribution.stats.total_bytes) {
     std::cout << " (per-link totals sum to it exactly)\n";
   } else {
     // Soft-fault overlays weight hop-bytes by link health; the attribution
     // counts physical bytes crossing each link.
     std::cout << " (health-weighted; physical routed bytes "
-              << attr.stats.total_bytes << ")\n";
+              << r.attribution.stats.total_bytes << ")\n";
   }
-  std::cout << core::render_contention_summary(attr, 5, top_k);
+  std::cout << core::render_contention_summary(r.attribution, 5, req.top_k);
 
   // Busiest-link timeline from the simulator's sampling grid.
-  netsim::AppResult sim;
-  bool simulated = false;
+  std::optional<netsim::AppResult> sim;
   const int iterations = static_cast<int>(cli.integer("iterations"));
   if (iterations > 0) {
     netsim::AppParams app;
@@ -524,17 +469,13 @@ int cmd_explain(int argc, const char* const* argv) {
     app.telemetry_spec.sample_interval_us = cli.real("sample-us");
     netsim::NetworkParams net;
     net.bandwidth = cli.real("bandwidth");
-    const std::string model_str = cli.str("model");
-    const netsim::ServiceModel model =
-        model_str == "storeforward" ? netsim::ServiceModel::kStoreForward
-                                    : netsim::ServiceModel::kWormhole;
-    sim = netsim::run_iterative_app(g, machine, m, app, net, model);
-    simulated = true;
-    obs_out.meta("completion_us", sim.completion_us);
-    const netsim::TelemetrySnapshot& snap = sim.telemetry;
+    sim = netsim::run_iterative_app(g, machine.machine(), r.mapping, app, net,
+                                    parse_model(cli.str("model")));
+    obs_out.meta("completion_us", sim->completion_us);
+    const netsim::TelemetrySnapshot& snap = sim->telemetry;
     std::cout << "timeline:       " << snap.t_us.size() << " windows of "
               << snap.sample_interval_us << " us over " << iterations
-              << " iterations (completion " << sim.completion_us / 1000.0
+              << " iterations (completion " << sim->completion_us / 1000.0
               << " ms)\n";
     if (!snap.links.empty()) {
       const netsim::LinkTelemetry& hot = snap.links.front();
@@ -546,43 +487,29 @@ int cmd_explain(int argc, const char* const* argv) {
     }
   }
 
-  // Baseline attribution + diff: baseline is side A, the explained
-  // strategy side B, so "8000 -> 1000" reads as the improvement.
-  core::ContentionReport baseline_attr;
-  core::ContentionDiff diff;
-  const bool diffed = !baseline_spec.empty();
-  if (diffed) {
-    baseline_attr = core::attribute_link_loads(g, machine, baseline_m);
-    diff = core::diff_contention(baseline_attr, attr);
-    std::cout << "baseline:       " << baseline_spec
-              << (baseline_blind ? " (blind: mapped on pristine machine)"
-                                 : "")
-              << ", routed bytes " << baseline_attr.stats.total_bytes << "\n"
-              << core::render_contention_diff(diff, 5, top_k);
-  }
+  if (r.baseline)
+    std::cout << "baseline:       " << req.baseline
+              << (req.baseline_blind ? " (blind: mapped on pristine machine)"
+                                     : "")
+              << ", routed bytes " << r.baseline->stats.total_bytes << "\n"
+              << core::render_contention_diff(r.diff, 5, req.top_k);
 
   if (const std::string report_path = cli.str("report");
       !report_path.empty()) {
-    obs::json::Value meta = obs::json::Value::object();
+    support::json::Value meta = support::json::Value::object();
     meta.set("command", "explain");
     meta.set("workload", g.label());
-    meta.set("machine", topo->name());
-    meta.set("strategy", strategy->name());
+    meta.set("machine", machine.base->name());
+    meta.set("strategy", r.strategy);
     meta.set("seed", cli.str("seed"));
-    meta.set("top_k", top_k);
-    meta.set("hop_bytes", hb);
-    if (diffed) meta.set("baseline", baseline_spec);
-    write_contention_report(report_path, meta, attr, top_k,
-                            simulated ? &sim : nullptr,
-                            diffed ? &baseline_attr : nullptr, baseline_spec,
-                            diffed ? &diff : nullptr);
+    meta.set("top_k", req.top_k);
+    meta.set("hop_bytes", r.hop_bytes);
+    if (r.baseline) meta.set("baseline", req.baseline);
+    write_contention_report(report_path, meta, r, req,
+                            sim ? &*sim : nullptr);
     std::cout << "report written to " << report_path << "\n";
   }
-  if (const std::string out = cli.str("output"); !out.empty()) {
-    std::ofstream os = open_output(out);
-    rts::write_rank_mapping(os, m);
-    std::cout << "mapping written to " << out << "\n";
-  }
+  write_mapping(cli, svc::mapping_bytes(r.mapping));
   obs_out.finish();
   return 0;
 }
@@ -657,67 +584,24 @@ int cmd_pipeline(int argc, const char* const* argv) {
 int cmd_evacuate(int argc, const char* const* argv) {
   CliParser cli(
       "map on the healthy machine, inject faults, evacuate stranded tasks");
-  cli.add_option("tasks", "workload spec (tasks <= processors)",
-                 "stencil2d:7x8");
-  cli.add_option("topology", "machine spec", "torus:8x8");
-  cli.add_option("strategy", "initial/remap strategy", "topolb");
-  cli.add_option("seed", "RNG seed", "1");
-  cli.add_option("refine-passes", "bounded refine sweeps after evacuation",
-                 "1");
-  cli.add_option("load-weight",
-                 "neighbourhood-load term weight in the destination score "
-                 "(0 = pure hop-bytes)",
-                 "0");
+  add_request_options(cli, svc::RequestKind::kEvacuate, "stencil2d:7x8");
   cli.add_option("output", "write repaired 'task processor' lines here", "");
-  add_fault_options(cli);
   add_obs_options(cli);
   if (!cli.parse(argc, argv)) return 0;
 
-  ObsOutputs obs_out;
-  obs_out.init(cli);
-
-  Rng rng(static_cast<std::uint64_t>(cli.integer("seed")));
-  const graph::TaskGraph g = graph::make_task_graph(cli.str("tasks"), rng);
-  const auto topo = topo::make_topology(cli.str("topology"));
-  auto overlay = make_fault_overlay(cli, topo);
-  if (!overlay) {
-    std::cerr << "error: evacuate needs at least one fault (--fail-link/"
-                 "--fail-node/--degrade-link/--random-*)\n";
-    return 1;
-  }
-
-  obs_out.report.set_meta("command", "evacuate");
-  obs_out.report.set_meta("workload", g.label());
-  obs_out.report.set_meta("machine", topo->name());
-  obs_out.report.set_meta("strategy", cli.str("strategy"));
-  obs_out.report.set_meta("seed", cli.str("seed"));
-
-  // Map on the healthy machine first: the faults strike a running job.
-  topo::FaultOverlay healthy(topo);
-  const auto strategy = core::make_strategy(cli.str("strategy"));
-  rts::EvacuateOptions evac_options;
-  evac_options.refine_passes = static_cast<int>(cli.integer("refine-passes"));
-  evac_options.load_weight = cli.real("load-weight");
-
-  core::Mapping before;
-  double hb_before = 0.0;
-  rts::EvacuateComparison cmp;
-  {
-    obs::ScopedSpan root_span("cli/evacuate");
-    before = core::map_on_alive(*strategy, g, healthy, rng);
-    hb_before = core::hop_bytes(g, *topo, before);
-    cmp = rts::compare_evacuate_vs_remap(g, *overlay, before, *strategy, rng,
-                                         evac_options);
-  }
+  ObsOutputs obs_out(cli);
+  const auto [req, r] = run_one_shot(cli, "cli/evacuate", svc::run_evacuate);
+  const rts::EvacuateComparison& cmp = r.comparison;
+  obs_out.describe("evacuate", r.graph, *r.machine, req.strategy, cli);
   obs_out.meta("hop_bytes", cmp.evac.hop_bytes);
   obs_out.meta("load_imbalance", cmp.evac.load_imbalance);
 
-  std::cout << "workload:       " << g.label() << " (" << g.num_vertices()
-            << " tasks)\n"
-            << "machine:        " << topo->name() << "\n";
-  print_fault_summary(*overlay);
-  std::cout << "before faults:  hop-bytes " << hb_before << " ("
-            << strategy->name() << ")\n"
+  std::cout << "workload:       " << r.graph.label() << " ("
+            << r.graph.num_vertices() << " tasks)\n"
+            << "machine:        " << r.machine->base->name() << "\n";
+  print_fault_summary(*r.machine);
+  std::cout << "before faults:  hop-bytes " << r.hop_bytes_before << " ("
+            << r.strategy << ")\n"
             << "evacuate:       " << cmp.evac.stranded << " stranded, "
             << cmp.evac.migrations << " migrations ("
             << cmp.evac.refine_swaps << " refine swaps), hop-bytes "
@@ -725,16 +609,9 @@ int cmd_evacuate(int argc, const char* const* argv) {
             << cmp.evac.load_imbalance << "\n"
             << "full remap:     " << cmp.full_migrations
             << " migrations, hop-bytes " << cmp.full_hop_bytes << "\n"
-            << "evac/remap:     hop-bytes ratio "
-            << (cmp.full_hop_bytes > 0.0
-                    ? cmp.evac.hop_bytes / cmp.full_hop_bytes
-                    : 1.0)
-            << "\n";
-  if (const std::string out = cli.str("output"); !out.empty()) {
-    std::ofstream os = open_output(out);
-    rts::write_rank_mapping(os, cmp.evac.mapping);
-    std::cout << "repaired mapping written to " << out << "\n";
-  }
+            << "evac/remap:     hop-bytes ratio " << r.hop_bytes_ratio << "\n";
+  write_mapping(cli, svc::mapping_bytes(r.comparison.evac.mapping),
+                "repaired mapping");
   obs_out.finish();
   return 0;
 }
@@ -743,73 +620,37 @@ int cmd_optimal(int argc, const char* const* argv) {
   CliParser cli(
       "exactly minimize hop-bytes by branch and bound (<= 12 tasks) and "
       "report a strategy's optimality gap against the proven minimum");
-  cli.add_option("tasks", "workload spec (<= 12 tasks)", "stencil2d:3x3");
-  cli.add_option("topology", "machine spec", "torus:3x3");
-  cli.add_option("seed", "RNG seed (workload + compared strategy)", "1");
-  cli.add_option("budget", "branch-and-bound node budget", "20000000");
-  cli.add_option("compare",
-                 "strategy spec to gap against the optimum ('' skips)",
-                 "topolb");
-  cli.add_flag("no-symmetry",
-               "explore every root placement (disable automorphism pruning)");
+  add_request_options(cli, svc::RequestKind::kOptimal, "stencil2d:3x3",
+                      "torus:3x3");
   cli.add_option("output", "write 'task processor' lines here", "");
-  add_fault_options(cli);
   add_obs_options(cli);
   if (!cli.parse(argc, argv)) return 0;
 
-  ObsOutputs obs_out;
-  obs_out.init(cli);
-
-  Rng rng(static_cast<std::uint64_t>(cli.integer("seed")));
-  const graph::TaskGraph g = graph::make_task_graph(cli.str("tasks"), rng);
-  const auto topo = topo::make_topology(cli.str("topology"));
-  const auto overlay = make_fault_overlay(cli, topo);
-  const topo::Topology& machine = overlay ? *overlay : *topo;
-  if (overlay) print_fault_summary(*overlay);
-
-  core::OptimalOptions opts;
-  opts.node_budget = cli.integer("budget");
-  opts.symmetry = !cli.flag("no-symmetry");
-
+  ObsOutputs obs_out(cli);
+  const auto [req, r] = run_one_shot(cli, "cli/optimal", svc::run_optimal);
+  const topo::Topology& topo = r.machine->machine();
   obs_out.report.set_meta("command", "optimal");
-  obs_out.report.set_meta("workload", g.label());
-  obs_out.report.set_meta("machine", machine.name());
+  obs_out.report.set_meta("workload", r.graph.label());
+  obs_out.report.set_meta("machine", topo.name());
   obs_out.report.set_meta("seed", cli.str("seed"));
 
-  core::OptimalResult result;
-  {
-    obs::ScopedSpan root_span("cli/optimal");
-    result = core::find_optimal_mapping(g, machine, opts);
-  }
-  print_mapping_report(g, machine, result.mapping, "OptimalLB (exact)");
-  std::cout << "search:         " << result.nodes << " nodes, "
-            << result.pruned << " pruned subtrees, " << result.root_candidates
-            << " root candidates\n";
-  obs_out.meta("optimal_hop_bytes", result.hop_bytes);
-  obs_out.meta("search_nodes", static_cast<double>(result.nodes));
-
-  if (const std::string spec = cli.str("compare"); !spec.empty()) {
-    const auto strategy = core::make_strategy(spec);
-    Rng crng(static_cast<std::uint64_t>(cli.integer("seed")));
-    const core::Mapping cm =
-        overlay ? core::map_on_alive(*strategy, g, *overlay, crng)
-                : strategy->map(g, *topo, crng);
-    const double chb = core::hop_bytes(g, machine, cm);
-    const double gap =
-        result.hop_bytes > 0.0 ? chb / result.hop_bytes : 1.0;
-    std::cout << "compare:        " << strategy->name() << " hop-bytes "
-              << chb << ", optimality gap " << gap
+  print_fault_summary(*r.machine);
+  print_mapping_report(svc::measure(r.graph, topo, r.optimal.mapping), topo,
+                       "OptimalLB (exact)");
+  std::cout << "search:         " << r.optimal.nodes << " nodes, "
+            << r.optimal.pruned << " pruned subtrees, "
+            << r.optimal.root_candidates << " root candidates\n";
+  obs_out.meta("optimal_hop_bytes", r.optimal.hop_bytes);
+  obs_out.meta("search_nodes", static_cast<double>(r.optimal.nodes));
+  if (r.compare) {
+    const double gap = r.compare->optimality_gap;
+    std::cout << "compare:        " << r.compare->strategy << " hop-bytes "
+              << r.compare->hop_bytes << ", optimality gap " << gap
               << (gap == 1.0 ? " (provably optimal)" : "") << "\n";
-    obs_out.meta("compare_hop_bytes", chb);
+    obs_out.meta("compare_hop_bytes", r.compare->hop_bytes);
     obs_out.meta("optimality_gap", gap);
   }
-
-  if (const std::string out = cli.str("output"); !out.empty()) {
-    std::ofstream os = open_output(out);
-    for (std::size_t t = 0; t < result.mapping.size(); ++t)
-      os << t << ' ' << result.mapping[t] << '\n';
-    std::cout << "mapping written to " << out << "\n";
-  }
+  write_mapping(cli, svc::mapping_bytes(r.optimal.mapping));
   obs_out.finish();
   return 0;
 }
@@ -899,8 +740,7 @@ int cmd_chaos(int argc, const char* const* argv) {
   if (const std::string drill = cli.str("drill"); !drill.empty())
     return run_validation_drill(drill);  // throws: exit 3 (or 2 on bad kind)
 
-  ObsOutputs obs_out;
-  obs_out.init(cli);
+  ObsOutputs obs_out(cli);
 
   Rng rng(static_cast<std::uint64_t>(cli.integer("seed")));
   const graph::TaskGraph g = graph::make_task_graph(cli.str("tasks"), rng);
@@ -925,7 +765,7 @@ int cmd_chaos(int argc, const char* const* argv) {
   // Explicit fault flags become strict events (epoch 0 for faults, the
   // given @epoch for restores); the chaos generator supplies the random
   // timeline, so the --random-* counts are rejected here.
-  const topo::FaultSpec spec = parse_fault_options(cli);
+  const topo::FaultSpec spec = request_from_cli(cli).fault_spec();
   TOPOMAP_REQUIRE(spec.random_link_faults == 0 &&
                       spec.random_node_faults == 0 &&
                       spec.random_degrades == 0,
@@ -1018,103 +858,56 @@ int cmd_chaos(int argc, const char* const* argv) {
   return 0;
 }
 
+void add_daemon_options(CliParser& cli) {
+  cli.add_option("socket", "daemon unix socket path", "/tmp/topomapd.sock");
+  cli.add_option("tcp",
+                 "daemon TCP endpoint host:port (overrides --socket)", "");
+}
+
+svc::Client connect_daemon(const CliParser& cli) {
+  if (const std::string tcp = cli.str("tcp"); !tcp.empty()) {
+    const auto [host, port] = svc::parse_tcp_endpoint(tcp);
+    return svc::Client::connect_tcp(host, port);
+  }
+  return svc::Client::connect_unix(cli.str("socket"));
+}
+
 /// `topomap client`: one request against a running topomapd.  Reuses the
-/// CLI flag family verbatim (including the fault flags and their parser),
-/// prints the response document, and exits with the taxonomy code the
-/// equivalent one-shot command would have — a server-side
-/// precondition_error comes back as exit 2, an I/O failure reaching the
-/// daemon as exit 4.
+/// one-shot commands' request flag table verbatim (including the fault
+/// flags and their parser), prints the response document, and exits with
+/// the taxonomy code the equivalent one-shot command would have — a
+/// server-side precondition_error comes back as exit 2, an I/O failure
+/// reaching the daemon as exit 4.
 int cmd_client(int argc, const char* const* argv) {
   CliParser cli(
       "send one mapping request to a running topomapd and print the "
       "response");
-  cli.add_option("socket", "daemon unix socket path", "/tmp/topomapd.sock");
-  cli.add_option("tcp",
-                 "daemon TCP endpoint host:port (overrides --socket)", "");
+  add_daemon_options(cli);
   cli.add_option("kind",
                  "map | explain | evacuate | optimal | status | metrics | "
                  "flight",
                  "status");
   cli.add_option("id", "request id echoed in the response", "cli");
-  cli.add_option("tasks", "workload spec", "stencil2d:8x8");
-  cli.add_option("topology", "machine spec", "torus:8x8");
-  cli.add_option("strategy", "mapping strategy", "topolb");
-  cli.add_option("seed", "RNG seed", "1");
-  cli.add_option("baseline", "explain: baseline strategy to diff against",
-                 "");
-  cli.add_flag("baseline-blind",
-               "explain: map the baseline on the pristine machine");
-  cli.add_option("top-k", "explain: contributing task pairs kept per link",
-                 "3");
-  cli.add_option("refine-passes", "evacuate: bounded refine sweeps", "1");
-  cli.add_option("load-weight", "evacuate: neighbourhood-load term weight",
-                 "0");
-  cli.add_option("budget", "optimal: branch-and-bound node budget",
-                 "20000000");
-  cli.add_option("compare",
-                 "optimal: strategy to gap against the optimum ('' skips)",
-                 "topolb");
-  cli.add_flag("no-symmetry", "optimal: disable automorphism pruning");
+  add_request_options(cli, std::nullopt);
   cli.add_option("output", "write the response's mapping bytes here", "");
   cli.add_flag("prom",
                "metrics: print Prometheus exposition text instead of JSON");
-  add_fault_options(cli);
   if (!cli.parse(argc, argv)) return 0;
 
-  svc::Request req;
+  svc::Request req = request_from_cli(cli);
   req.id = cli.str("id");
   req.kind = svc::parse_request_kind(cli.str("kind"));
   TOPOMAP_REQUIRE(!cli.flag("prom") || req.kind == svc::RequestKind::kMetrics,
                   "--prom applies to --kind=metrics only");
-  req.tasks = cli.str("tasks");
-  req.topology = cli.str("topology");
-  req.strategy = cli.str("strategy");
-  req.seed = static_cast<std::uint64_t>(cli.integer("seed"));
-  req.baseline = cli.str("baseline");
-  req.baseline_blind = cli.flag("baseline-blind");
-  req.top_k = static_cast<int>(cli.integer("top-k"));
-  req.refine_passes = static_cast<int>(cli.integer("refine-passes"));
-  req.load_weight = cli.real("load-weight");
-  req.budget = cli.integer("budget");
-  req.compare = cli.str("compare");
-  req.no_symmetry = cli.flag("no-symmetry");
-  req.fail_link = cli.str("fail-link");
-  req.fail_node = cli.str("fail-node");
-  req.degrade_link = cli.str("degrade-link");
-  req.restore_node = cli.str("restore-node");
-  req.restore_link = cli.str("restore-link");
-  req.random_link_faults = cli.integer("random-link-faults");
-  req.random_node_faults = cli.integer("random-node-faults");
-  req.random_degrades = cli.integer("random-degrades");
-  req.fault_seed = static_cast<std::uint64_t>(cli.integer("fault-seed"));
   // Validate the fault flags client-side with the same parser the one-shot
-  // CLI uses — malformed flags exit 2 without a round-trip (the server
+  // commands use — malformed flags exit 2 without a round-trip (the server
   // revalidates anyway).
   (void)req.fault_spec();
 
-  svc::Client client = [&] {
-    if (const std::string tcp = cli.str("tcp"); !tcp.empty()) {
-      const std::size_t colon = tcp.rfind(':');
-      TOPOMAP_REQUIRE(colon != std::string::npos && colon > 0,
-                      "--tcp wants host:port, got '" + tcp + "'");
-      return svc::Client::connect_tcp(
-          tcp.substr(0, colon), std::stoi(tcp.substr(colon + 1)));
-    }
-    return svc::Client::connect_unix(cli.str("socket"));
-  }();
+  svc::Client client = connect_daemon(cli);
   const svc::Response resp = client.call(req);
 
-  if (!resp.ok) {
-    // Mirror the one-shot CLI's stderr formatting per category.
-    const std::string& cat = resp.error.category;
-    if (cat == "invariant")
-      std::cerr << "internal error: " << resp.error.message << "\n";
-    else if (cat == "io")
-      std::cerr << "I/O error: " << resp.error.message << "\n";
-    else
-      std::cerr << "error: " << resp.error.message << "\n";
-    return svc::exit_code_for(cat);
-  }
+  if (!resp.ok) resp.error.raise();  // exits as the one-shot command would
   if (cli.flag("prom")) {
     // Validates the snapshot against the topomap.svc.metrics schema on the
     // way out, so a drifting daemon fails loudly instead of exporting
@@ -1123,14 +916,12 @@ int cmd_client(int argc, const char* const* argv) {
     return 0;
   }
   std::cout << resp.to_json().dump(2) << "\n";
-  if (const std::string out = cli.str("output"); !out.empty()) {
-    const obs::json::Value* mapping = resp.result.find("mapping");
+  if (!cli.str("output").empty()) {
+    const support::json::Value* mapping = resp.result.find("mapping");
     TOPOMAP_REQUIRE(mapping != nullptr && mapping->is_string(),
                     "response carries no mapping (kind '" + cli.str("kind") +
                         "' has none) — drop --output");
-    std::ofstream os = open_output(out);
-    os << mapping->as_string();
-    std::cout << "mapping written to " << out << "\n";
+    write_mapping(cli, mapping->as_string());
   }
   return 0;
 }
@@ -1143,9 +934,7 @@ int cmd_client(int argc, const char* const* argv) {
 /// count).
 int cmd_top(int argc, const char* const* argv) {
   CliParser cli("live telemetry view of a running topomapd");
-  cli.add_option("socket", "daemon unix socket path", "/tmp/topomapd.sock");
-  cli.add_option("tcp",
-                 "daemon TCP endpoint host:port (overrides --socket)", "");
+  add_daemon_options(cli);
   cli.add_option("interval-ms", "poll interval in milliseconds", "1000");
   cli.add_option("iterations", "snapshots to render (0 = until killed)",
                  "0");
@@ -1155,17 +944,7 @@ int cmd_top(int argc, const char* const* argv) {
           cli.integer("interval-ms"), 1));
   const std::int64_t iterations = cli.integer("iterations");
   const bool tty = ::isatty(STDOUT_FILENO) != 0;
-
-  svc::Client client = [&] {
-    if (const std::string tcp = cli.str("tcp"); !tcp.empty()) {
-      const std::size_t colon = tcp.rfind(':');
-      TOPOMAP_REQUIRE(colon != std::string::npos && colon > 0,
-                      "--tcp wants host:port, got '" + tcp + "'");
-      return svc::Client::connect_tcp(
-          tcp.substr(0, colon), std::stoi(tcp.substr(colon + 1)));
-    }
-    return svc::Client::connect_unix(cli.str("socket"));
-  }();
+  svc::Client client = connect_daemon(cli);
 
   double prev_served = -1.0;
   for (std::int64_t i = 0; iterations == 0 || i < iterations; ++i) {
@@ -1174,13 +953,10 @@ int cmd_top(int argc, const char* const* argv) {
     req.id = "top";
     req.kind = svc::RequestKind::kMetrics;
     const svc::Response resp = client.call(req);
-    if (!resp.ok) {
-      std::cerr << "error: " << resp.error.message << "\n";
-      return svc::exit_code_for(resp.error.category);
-    }
+    if (!resp.ok) resp.error.raise();
     svc::validate_metrics_snapshot(resp.result);
-    const obs::json::Value& requests = resp.result.at("requests");
-    const obs::json::Value& pool = resp.result.at("pool");
+    const support::json::Value& requests = resp.result.at("requests");
+    const support::json::Value& pool = resp.result.at("pool");
     const double served = requests.at("served").as_number();
     const double failed = requests.at("failed").as_number();
     const double hits = pool.at("hits").as_number();
@@ -1196,13 +972,13 @@ int cmd_top(int argc, const char* const* argv) {
     if (tty) std::cout << "\x1b[2J\x1b[H";  // repaint in place
     std::cout << "topomapd  served " << static_cast<std::int64_t>(served)
               << "  failed " << static_cast<std::int64_t>(failed)
-              << "  rate " << obs::json::format_number(rate) << "/s"
+              << "  rate " << support::json::format_number(rate) << "/s"
               << "  queue "
               << static_cast<std::int64_t>(
                      resp.result.at("queue_depth").as_number())
               << "  pool-hit "
               << (lookups > 0.0
-                      ? obs::json::format_number(100.0 * hits / lookups)
+                      ? support::json::format_number(100.0 * hits / lookups)
                       : "-")
               << (lookups > 0.0 ? "%" : "") << "\n";
     Table table("per-kind latency (us)",
@@ -1253,9 +1029,7 @@ void usage() {
       "            3 internal invariant violation, 4 I/O failure\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int dispatch(int argc, char** argv) {
   if (argc < 2) {
     usage();
     return 1;
@@ -1264,35 +1038,27 @@ int main(int argc, char** argv) {
   // Shift argv past the subcommand for the option parser.
   const int sub_argc = argc - 1;
   const char* const* sub_argv = argv + 1;
-  try {
-    if (command == "map") return cmd_map(sub_argc, sub_argv, false);
-    if (command == "simulate") return cmd_map(sub_argc, sub_argv, true);
-    if (command == "partition") return cmd_partition(sub_argc, sub_argv);
-    if (command == "pipeline") return cmd_pipeline(sub_argc, sub_argv);
-    if (command == "evacuate") return cmd_evacuate(sub_argc, sub_argv);
-    if (command == "explain") return cmd_explain(sub_argc, sub_argv);
-    if (command == "optimal") return cmd_optimal(sub_argc, sub_argv);
-    if (command == "chaos") return cmd_chaos(sub_argc, sub_argv);
-    if (command == "client") return cmd_client(sub_argc, sub_argv);
-    if (command == "top") return cmd_top(sub_argc, sub_argv);
-    if (command == "--help" || command == "help") {
-      usage();
-      return 0;
-    }
-    std::cerr << "unknown command: " << command << "\n";
+  if (command == "map") return cmd_map(sub_argc, sub_argv, false);
+  if (command == "simulate") return cmd_map(sub_argc, sub_argv, true);
+  if (command == "partition") return cmd_partition(sub_argc, sub_argv);
+  if (command == "pipeline") return cmd_pipeline(sub_argc, sub_argv);
+  if (command == "evacuate") return cmd_evacuate(sub_argc, sub_argv);
+  if (command == "explain") return cmd_explain(sub_argc, sub_argv);
+  if (command == "optimal") return cmd_optimal(sub_argc, sub_argv);
+  if (command == "chaos") return cmd_chaos(sub_argc, sub_argv);
+  if (command == "client") return cmd_client(sub_argc, sub_argv);
+  if (command == "top") return cmd_top(sub_argc, sub_argv);
+  if (command == "--help" || command == "help") {
     usage();
-    return 1;
-  } catch (const topomap::precondition_error& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
-  } catch (const topomap::invariant_error& e) {
-    std::cerr << "internal error: " << e.what() << "\n";
-    return 3;
-  } catch (const topomap::io_error& e) {
-    std::cerr << "I/O error: " << e.what() << "\n";
-    return 4;
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
+    return 0;
   }
+  std::cerr << "unknown command: " << command << "\n";
+  usage();
+  return 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return topomap::run_main(argc, argv, dispatch);
 }

@@ -43,9 +43,7 @@ void on_sigusr1(int) {
   if (g_server != nullptr) g_server->request_flight_dump();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int serve(int argc, char** argv) {
   using namespace topomap;
   CliParser cli(
       "serve topology-aware mapping requests over a unix socket "
@@ -83,82 +81,77 @@ int main(int argc, char** argv) {
                  "write an obs::Report JSON (counters/histograms) at "
                  "shutdown",
                  "");
-  try {
-    if (!cli.parse(argc, argv)) return 0;
+  if (!cli.parse(argc, argv)) return 0;
 
-    svc::ServerOptions options;
-    options.socket_path = cli.str("socket");
-    options.tcp_port = static_cast<int>(cli.integer("tcp-port"));
-    options.workers = static_cast<std::size_t>(cli.integer("workers"));
-    options.queue_capacity = static_cast<std::size_t>(cli.integer("queue"));
-    options.service.cache_capacity =
-        static_cast<std::size_t>(cli.integer("cache"));
-    options.service.report_dir = cli.str("report-dir");
-    options.service.event_log_path = cli.str("event-log");
-    options.service.event_log_max_bytes =
-        static_cast<std::size_t>(cli.integer("event-log-max-bytes"));
-    options.service.flight_capacity =
-        static_cast<std::size_t>(cli.integer("flight-capacity"));
-    const std::string trace_path = cli.str("trace");
-    const std::string stats_path = cli.str("stats");
-    TOPOMAP_REQUIRE(options.queue_capacity >= 1,
-                    "--queue must be at least 1");
-    TOPOMAP_REQUIRE(options.service.flight_capacity >= 1,
-                    "--flight-capacity must be at least 1");
+  svc::ServerOptions options;
+  options.socket_path = cli.str("socket");
+  const std::int64_t tcp_port = cli.integer("tcp-port");
+  TOPOMAP_REQUIRE(tcp_port >= 0 && tcp_port <= 65535,
+                  "--tcp-port must be in 1..65535 (0 = unix socket only)");
+  options.tcp_port = static_cast<int>(tcp_port);
+  options.workers = static_cast<std::size_t>(cli.integer("workers"));
+  options.queue_capacity = static_cast<std::size_t>(cli.integer("queue"));
+  options.service.cache_capacity =
+      static_cast<std::size_t>(cli.integer("cache"));
+  options.service.report_dir = cli.str("report-dir");
+  options.service.event_log_path = cli.str("event-log");
+  options.service.event_log_max_bytes =
+      static_cast<std::size_t>(cli.integer("event-log-max-bytes"));
+  options.service.flight_capacity =
+      static_cast<std::size_t>(cli.integer("flight-capacity"));
+  const std::string trace_path = cli.str("trace");
+  const std::string stats_path = cli.str("stats");
+  TOPOMAP_REQUIRE(options.queue_capacity >= 1,
+                  "--queue must be at least 1");
+  TOPOMAP_REQUIRE(options.service.flight_capacity >= 1,
+                  "--flight-capacity must be at least 1");
 
-    if (!trace_path.empty() || !stats_path.empty()) {
+  if (!trace_path.empty() || !stats_path.empty()) {
 #if defined(TOPOMAP_OBS_ENABLED)
-      obs::set_enabled(true);
+    obs::set_enabled(true);
 #else
-      std::cerr << "warning: this binary was built without -DTOPOMAP_OBS=ON;"
-                   " --trace/--stats artifacts will carry no instrumentation"
-                   " data\n";
+    std::cerr << "warning: this binary was built without -DTOPOMAP_OBS=ON;"
+                 " --trace/--stats artifacts will carry no instrumentation"
+                 " data\n";
 #endif
-    }
-
-    // write_frame uses MSG_NOSIGNAL, but ignore SIGPIPE globally anyway so
-    // a vanished client can never kill the daemon.
-    std::signal(SIGPIPE, SIG_IGN);
-
-    svc::Server server(options);
-    server.start();
-    g_server = &server;
-    std::signal(SIGTERM, on_signal);
-    std::signal(SIGINT, on_signal);
-    std::signal(SIGUSR1, on_sigusr1);
-    std::cout << "topomapd listening on " << options.socket_path;
-    if (options.tcp_port > 0)
-      std::cout << " and 127.0.0.1:" << options.tcp_port;
-    std::cout << " (" << options.workers << " workers, queue "
-              << options.queue_capacity << ", cache "
-              << options.service.cache_capacity << ")" << std::endl;
-    server.join();
-    g_server = nullptr;
-    if (!stats_path.empty()) {
-      obs::Report report;
-      report.set_meta("command", "topomapd");
-      report.capture();
-      report.write_file(stats_path);
-      std::cout << "stats written to " << stats_path << "\n";
-    }
-    if (!trace_path.empty()) {
-      std::ofstream os(trace_path);
-      obs::Tracer::instance().write_chrome_trace(os);
-      std::cout << "trace written to " << trace_path << "\n";
-    }
-    std::cout << "topomapd: clean shutdown" << std::endl;
-    return 0;
-  } catch (const precondition_error& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
-  } catch (const invariant_error& e) {
-    std::cerr << "internal error: " << e.what() << "\n";
-    return 3;
-  } catch (const io_error& e) {
-    std::cerr << "I/O error: " << e.what() << "\n";
-    return 4;
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
   }
+
+  // write_frame uses MSG_NOSIGNAL, but ignore SIGPIPE globally anyway so
+  // a vanished client can never kill the daemon.
+  std::signal(SIGPIPE, SIG_IGN);
+
+  svc::Server server(options);
+  server.start();
+  g_server = &server;
+  std::signal(SIGTERM, on_signal);
+  std::signal(SIGINT, on_signal);
+  std::signal(SIGUSR1, on_sigusr1);
+  std::cout << "topomapd listening on " << options.socket_path;
+  if (options.tcp_port > 0)
+    std::cout << " and 127.0.0.1:" << options.tcp_port;
+  std::cout << " (" << options.workers << " workers, queue "
+            << options.queue_capacity << ", cache "
+            << options.service.cache_capacity << ")" << std::endl;
+  server.join();
+  g_server = nullptr;
+  if (!stats_path.empty()) {
+    obs::Report report;
+    report.set_meta("command", "topomapd");
+    report.capture();
+    report.write_file(stats_path);
+    std::cout << "stats written to " << stats_path << "\n";
+  }
+  if (!trace_path.empty()) {
+    std::ofstream os(trace_path);
+    obs::Tracer::instance().write_chrome_trace(os);
+    std::cout << "trace written to " << trace_path << "\n";
+  }
+  std::cout << "topomapd: clean shutdown" << std::endl;
+  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return topomap::run_main(argc, argv, serve);
 }
