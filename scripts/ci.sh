@@ -18,6 +18,13 @@ cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-ci-release -j "$JOBS"
 ctest --test-dir build-ci-release --output-on-failure -j "$JOBS"
 
+echo "=== perfbench: the benchmark binary builds against this tree ==="
+# perfbench/ calls core signatures directly (TopoLB, TopoCentLB,
+# refine_mapping, make_strategy) from its own CMake package, which the
+# main build does not configure; a signature change must fail here.
+cmake -S perfbench -B build-ci-perfbench -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build build-ci-perfbench --target perfbench_topomap -j "$JOBS"
+
 echo "=== oracle slice (release): exact ground truth + optimality gaps ==="
 # Brute-force/B&B agreement and every strategy's admissibility bound; fast
 # enough to call out explicitly so an optimality regression names itself.

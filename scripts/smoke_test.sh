@@ -190,6 +190,28 @@ expect_rc 2 "out-of-range seed" "$CLI" map --seed=99999999999999999999
 expect_rc 2 "non-numeric client port" "$CLI" client --tcp=localhost:abc
 expect_rc 2 "daemon port past 16 bits" "$BUILD_DIR/tools/topomapd" \
   --tcp-port=70000 --socket="$TMP/port.sock"
+# A negative size must not wrap to SIZE_MAX; it is refused before the
+# socket is bound.
+for opt in workers queue cache flight-capacity event-log-max-bytes; do
+  expect_rc 2 "negative --$opt" "$BUILD_DIR/tools/topomapd" \
+    --"$opt"=-1 --socket="$TMP/neg.sock"
+  if [ -e "$TMP/neg.sock" ]; then
+    echo "FAIL: topomapd --$opt=-1 left its socket behind" >&2
+    exit 1
+  fi
+done
+# TOPOMAP_THREADS must be a whole integer in range; both binaries refuse a
+# bad value at start-up.
+for bad in abc 4x 0 -1; do
+  expect_rc 2 "TOPOMAP_THREADS=$bad" env TOPOMAP_THREADS="$bad" "$CLI" map \
+    --tasks=stencil2d:4x4 --topology=torus:4x4
+done
+expect_rc 2 "TOPOMAP_THREADS=abc daemon" env TOPOMAP_THREADS=abc \
+  "$BUILD_DIR/tools/topomapd" --socket="$TMP/threads.sock"
+if [ -e "$TMP/threads.sock" ]; then
+  echo "FAIL: topomapd with a bad TOPOMAP_THREADS left its socket behind" >&2
+  exit 1
+fi
 expect_rc 2 "malformed obs_diff tolerance" "$BUILD_DIR/tools/obs_diff" \
   --tolerance=abc a.json b.json
 echo "ok: exit codes         1 usage / 2 precondition / 4 io"

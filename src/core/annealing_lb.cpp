@@ -14,12 +14,8 @@ namespace topomap::core {
 
 namespace {
 
-/// The Metropolis chain proper, templated on the distance provider.  Swap
-/// deltas are identical integers-times-bytes for either provider and the
-/// rng draw sequence does not depend on the provider, so cached and virtual
-/// modes walk the same chain and return the same mapping.
-template <class Dist>
-Mapping run_chain(const graph::TaskGraph& g, const Dist& dist,
+/// The Metropolis chain proper.
+Mapping run_chain(const graph::TaskGraph& g, const detail::CachedDistance& dist,
                   Mapping current, double energy, Rng& rng,
                   const AnnealingOptions& options) {
   const int n = g.num_vertices();
@@ -72,9 +68,8 @@ Mapping run_chain(const graph::TaskGraph& g, const Dist& dist,
 
 }  // namespace
 
-AnnealingLB::AnnealingLB(AnnealingOptions options, DistanceMode mode,
-                         CacheHandlePtr cache)
-    : options_(std::move(options)), mode_(mode), cache_(std::move(cache)) {
+AnnealingLB::AnnealingLB(AnnealingOptions options, CacheHandlePtr cache)
+    : options_(std::move(options)), cache_(std::move(cache)) {
   TOPOMAP_REQUIRE(options_.moves_per_task > 0.0, "need positive move budget");
   TOPOMAP_REQUIRE(options_.cooling > 0.0 && options_.cooling < 1.0,
                   "cooling factor must be in (0,1)");
@@ -96,11 +91,6 @@ Mapping AnnealingLB::map(const graph::TaskGraph& g,
   Mapping current = options_.warm_start
                         ? options_.warm_start->map(g, topo, rng)
                         : RandomLB().map(g, topo, rng);
-  if (mode_ == DistanceMode::kVirtual) {
-    const double energy = hop_bytes(g, topo, current);
-    return run_chain(g, detail::VirtualDistance{topo}, std::move(current),
-                     energy, rng, options_);
-  }
   const auto cache = obtain_cache(cache_, topo);
   const double energy = hop_bytes(g, *cache, current);
   return run_chain(g, detail::CachedDistance{*cache}, std::move(current),

@@ -37,7 +37,6 @@ struct AnnealingOptions {
 class AnnealingLB final : public MappingStrategy {
  public:
   explicit AnnealingLB(AnnealingOptions options = {},
-                       DistanceMode mode = DistanceMode::kCached,
                        CacheHandlePtr cache = nullptr);
 
   Mapping map(const graph::TaskGraph& g, const topo::Topology& topo,
@@ -46,7 +45,6 @@ class AnnealingLB final : public MappingStrategy {
 
  private:
   AnnealingOptions options_;
-  DistanceMode mode_;
   CacheHandlePtr cache_;  // shared across a composition; may be null
 };
 

@@ -1,14 +1,17 @@
 // Internal: uniform, non-virtual distance access for the mapping kernels.
 //
-// Every kernel in src/core is written once against a `Dist` template
-// parameter and instantiated twice — with CachedDistance (dense uint16 rows
-// from a topo::DistanceCache) and VirtualDistance (plain
-// Topology::distance dispatch).  Both providers expose the same three
-// operations, perform the same integer distance math, and return the same
-// mean-distance doubles, so the two instantiations are byte-identical in
-// behaviour; only the lookup cost differs.  row(a) returns something
-// indexable by processor id — a raw pointer for the cache, a thin adapter
-// for the virtual path — and should be hoisted out of inner loops.
+// Every mapping kernel (TopoLB, TopoCentLB, RefineTopoLB, AnnealingLB and
+// hier's level passes) reads distances through CachedDistance: dense
+// uint16 rows from a topo::DistanceCache.  VirtualDistance dispatches
+// through Topology::distance instead and has exactly two callers: hier's
+// final polish on a contracted machine, which can be larger than the
+// DistanceCache's 20000-node cap, and the public swap_delta().  Both
+// providers expose the same three operations and return the same values
+// (the cache stores Topology::distance and copies mean_distance_from bit
+// for bit), so a kernel gives the same result through either.  row(a)
+// returns something indexable by processor id — a raw pointer for the
+// cache, a thin adapter for the virtual path — and should be hoisted out
+// of inner loops.
 #pragma once
 
 #include <cstdint>

@@ -426,7 +426,7 @@ std::unique_ptr<topo::Topology> hier_node_plane(const topo::Topology& topo,
 }
 
 HierResult hier_map(const graph::TaskGraph& g, const topo::Topology& topo,
-                    Rng& rng, const HierOptions& opt, DistanceMode mode,
+                    Rng& rng, const HierOptions& opt,
                     const CacheHandlePtr& cache) {
   const int n = g.num_vertices();
   const int p = topo.size();
@@ -515,12 +515,12 @@ HierResult hier_map(const graph::TaskGraph& g, const topo::Topology& topo,
     // with this call.
     const CacheHandlePtr solve_handle =
         contracted || !cache ? std::make_shared<CacheHandle>() : cache;
-    if (mode == DistanceMode::kCached) plane_cache = solve_handle->get(plane);
-    mc = TopoLB(opt.order, mode, solve_handle).map(out.quotient, plane, rng);
+    plane_cache = solve_handle->get(plane);
+    mc = TopoLB(opt.order, solve_handle).map(out.quotient, plane, rng);
     if (opt.coarse_refine_passes > 0) {
-      RefineResult rr =
-          refine_mapping(out.quotient, plane, mc, opt.coarse_refine_passes,
-                         mode, plane_cache.get());
+      RefineResult rr = refine_mapping(out.quotient, plane, mc,
+                                       opt.coarse_refine_passes,
+                                       plane_cache.get());
       mc = std::move(rr.mapping);
       out.swaps += rr.swaps;
       out.coarse_hop_bytes = rr.hop_bytes_after;
@@ -530,6 +530,7 @@ HierResult hier_map(const graph::TaskGraph& g, const topo::Topology& topo,
     OBS_SERIES_APPEND("hier/hop_bytes_trajectory", out.coarse_hop_bytes);
   }
   out.coarse_mapping = mc;
+  const detail::CachedDistance plane_dist{*plane_cache};
 
   // --- task-side uncoarsening with bounded per-level refinement ---
   Mapping m(static_cast<std::size_t>(gm.num_vertices()));
@@ -540,11 +541,8 @@ HierResult hier_map(const graph::TaskGraph& g, const topo::Topology& topo,
     OBS_SPAN("hier/uncoarsen_tasks");
     const auto level_stats = [&](const TaskGraph& lg,
                                  const Mapping& lm) -> HierLevelStats {
-      const double hb =
-          mode == DistanceMode::kCached
-              ? hop_bytes_dist(lg, detail::CachedDistance{*plane_cache}, lm)
-              : hop_bytes_dist(lg, detail::VirtualDistance{plane}, lm);
-      return HierLevelStats{lg.num_vertices(), hb};
+      return HierLevelStats{lg.num_vertices(),
+                            hop_bytes_dist(lg, plane_dist, lm)};
     };
     out.trajectory.push_back(level_stats(gm, m));
     for (int li = static_cast<int>(tlevels.size()) - 1; li >= 0; --li) {
@@ -555,14 +553,8 @@ HierResult hier_map(const graph::TaskGraph& g, const topo::Topology& topo,
       for (int v = 0; v < finer.num_vertices(); ++v)
         mf[static_cast<std::size_t>(v)] =
             m[static_cast<std::size_t>(f2c[static_cast<std::size_t>(v)])];
-      if (opt.refine_passes > 0) {
-        out.swaps +=
-            mode == DistanceMode::kCached
-                ? run_level_passes(finer, detail::CachedDistance{*plane_cache},
-                                   mf, opt.refine_passes)
-                : run_level_passes(finer, detail::VirtualDistance{plane}, mf,
-                                   opt.refine_passes);
-      }
+      if (opt.refine_passes > 0)
+        out.swaps += run_level_passes(finer, plane_dist, mf, opt.refine_passes);
       m = std::move(mf);
       out.trajectory.push_back(level_stats(finer, m));
       OBS_SERIES_APPEND("hier/hop_bytes_trajectory",
@@ -616,19 +608,15 @@ HierResult hier_map(const graph::TaskGraph& g, const topo::Topology& topo,
   if (opt.final_refine) {
     OBS_SPAN("hier/final_refine");
     if (n == p && !contracted) {
-      RefineResult rr =
-          refine_mapping(g, topo, m, 8, mode, plane_cache.get());
+      RefineResult rr = refine_mapping(g, topo, m, 8, plane_cache.get());
       m = std::move(rr.mapping);
       out.swaps += rr.swaps;
     } else if (contracted) {
+      // The real machine can exceed the DistanceCache cap; read it directly.
       out.swaps +=
           run_level_passes(g, detail::VirtualDistance{topo}, m, 3);
-    } else if (mode == DistanceMode::kCached) {
-      out.swaps += run_level_passes(
-          g, detail::CachedDistance{*plane_cache}, m, 3);
     } else {
-      out.swaps +=
-          run_level_passes(g, detail::VirtualDistance{topo}, m, 3);
+      out.swaps += run_level_passes(g, plane_dist, m, 3);
     }
     if (!out.trajectory.empty()) {
       const double hb = hop_bytes(g, topo, m);
@@ -643,9 +631,8 @@ HierResult hier_map(const graph::TaskGraph& g, const topo::Topology& topo,
   return out;
 }
 
-HierTopoLB::HierTopoLB(HierOptions options, DistanceMode mode,
-                       CacheHandlePtr cache)
-    : options_(options), mode_(mode), cache_(std::move(cache)) {
+HierTopoLB::HierTopoLB(HierOptions options, CacheHandlePtr cache)
+    : options_(options), cache_(std::move(cache)) {
   TOPOMAP_REQUIRE(options_.flat_proc_cap >= 1 &&
                       options_.flat_proc_cap <= 20000,
                   "flat_proc_cap must be in [1, 20000]");
@@ -658,7 +645,7 @@ HierTopoLB::HierTopoLB(HierOptions options, DistanceMode mode,
 
 Mapping HierTopoLB::map(const graph::TaskGraph& g, const topo::Topology& topo,
                         Rng& rng) const {
-  return hier_map(g, topo, rng, options_, mode_, cache_).mapping;
+  return hier_map(g, topo, rng, options_, cache_).mapping;
 }
 
 std::string HierTopoLB::name() const {

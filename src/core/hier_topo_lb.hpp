@@ -100,7 +100,6 @@ struct HierResult {
 /// (Topology::has_adjacency) so the machine side can be contracted.
 HierResult hier_map(const graph::TaskGraph& g, const topo::Topology& topo,
                     Rng& rng, const HierOptions& opt = {},
-                    DistanceMode mode = DistanceMode::kCached,
                     const CacheHandlePtr& cache = nullptr);
 
 /// The node plane hier_map solves on when p > flat_proc_cap: the machine
@@ -114,7 +113,6 @@ std::unique_ptr<topo::Topology> hier_node_plane(const topo::Topology& topo,
 class HierTopoLB final : public MappingStrategy {
  public:
   explicit HierTopoLB(HierOptions options = {},
-                      DistanceMode mode = DistanceMode::kCached,
                       CacheHandlePtr cache = nullptr);
 
   Mapping map(const graph::TaskGraph& g, const topo::Topology& topo,
@@ -126,7 +124,6 @@ class HierTopoLB final : public MappingStrategy {
 
  private:
   HierOptions options_;
-  DistanceMode mode_;
   CacheHandlePtr cache_;  // shared across a composition; may be null
 };
 

@@ -41,10 +41,10 @@ struct PairAB {
 /// sum rounds at most deg_a + deg_b + 4 times by eps / 2, so beyond the
 /// margin the computed delta is >= 0 and the accept test (< -1e-12) could
 /// not have fired.
-template <class Dist>
 class SwapBound {
  public:
-  SwapBound(const graph::TaskGraph& g, const Dist& dist, const Mapping& m)
+  SwapBound(const graph::TaskGraph& g, const detail::CachedDistance& dist,
+            const Mapping& m)
       : g_(g), dist_(dist), m_(m) {
     const auto n = m.size();
     weight_.assign(n, 0.0);
@@ -95,7 +95,7 @@ class SwapBound {
   }
 
   const graph::TaskGraph& g_;
-  const Dist& dist_;
+  const detail::CachedDistance& dist_;
   const Mapping& m_;
   std::vector<double> weight_;  ///< W_t
   std::vector<double> cost_;    ///< C_t under the current mapping
@@ -125,11 +125,10 @@ class SwapBound {
 /// the sweep is pure evaluation — run at full width; early swap-dense
 /// passes pay at most one wasted evaluation per accepted swap.  The
 /// schedule depends only on accept decisions, never on thread count.
-template <class Dist>
-bool sweep_once(const graph::TaskGraph& g, const Dist& dist, Mapping& m,
-                int* swaps) {
+bool sweep_once(const graph::TaskGraph& g, const detail::CachedDistance& dist,
+                Mapping& m, int* swaps) {
   const int n = static_cast<int>(m.size());
-  SwapBound<Dist> bound(g, dist, m);
+  SwapBound bound(g, dist, m);
   std::vector<PairAB> pairs;  // unpruned pairs of the block suffix
   std::vector<double> deltas;
 
@@ -190,9 +189,9 @@ bool sweep_once(const graph::TaskGraph& g, const Dist& dist, Mapping& m,
   return improved;
 }
 
-template <class Dist>
-RefineResult run_refine(const graph::TaskGraph& g, const Dist& dist,
-                        double hb_before, const Mapping& m, int max_passes) {
+RefineResult run_refine(const graph::TaskGraph& g,
+                        const detail::CachedDistance& dist, double hb_before,
+                        const Mapping& m, int max_passes) {
   OBS_SPAN("refine/run");
   RefineResult result;
   result.mapping = m;
@@ -213,8 +212,7 @@ double swap_delta(const graph::TaskGraph& g, const topo::Topology& topo,
 
 RefineResult refine_mapping(const graph::TaskGraph& g,
                             const topo::Topology& topo, const Mapping& m,
-                            int max_passes, DistanceMode mode,
-                            const topo::DistanceCache* cache) {
+                            int max_passes, const topo::DistanceCache* cache) {
   TOPOMAP_REQUIRE(max_passes >= 1, "need at least one sweep");
   TOPOMAP_REQUIRE(is_one_to_one(m, topo), "refiner needs a one-to-one mapping");
   TOPOMAP_REQUIRE(static_cast<int>(m.size()) == g.num_vertices(),
@@ -222,32 +220,29 @@ RefineResult refine_mapping(const graph::TaskGraph& g,
   TOPOMAP_REQUIRE(cache == nullptr || cache->size() == topo.size(),
                   "prebuilt distance cache does not match the topology");
 
-  RefineResult result;
-  if (mode == DistanceMode::kVirtual) {
-    result = run_refine(g, detail::VirtualDistance{topo},
-                        hop_bytes(g, topo, m), m, max_passes);
-    result.hop_bytes_after = hop_bytes(g, topo, result.mapping);
-  } else {
-    std::shared_ptr<const topo::DistanceCache> owned;
-    if (cache == nullptr) {
-      owned = std::make_shared<const topo::DistanceCache>(topo);
-      cache = owned.get();
-    }
-    result = run_refine(g, detail::CachedDistance{*cache},
-                        hop_bytes(g, *cache, m), m, max_passes);
-    result.hop_bytes_after = hop_bytes(g, *cache, result.mapping);
+  std::shared_ptr<const topo::DistanceCache> owned;
+  if (cache == nullptr) {
+    owned = std::make_shared<const topo::DistanceCache>(topo);
+    cache = owned.get();
   }
+  RefineResult result = run_refine(g, detail::CachedDistance{*cache},
+                                   hop_bytes(g, *cache, m), m, max_passes);
+  result.hop_bytes_after = hop_bytes(g, *cache, result.mapping);
   TOPOMAP_ASSERT(result.hop_bytes_after <= result.hop_bytes_before + 1e-6,
                  "refinement must never worsen hop-bytes");
   return result;
 }
 
+RefineResult refine_mapping(const graph::TaskGraph& g,
+                            const topo::Topology& topo, const Mapping& m,
+                            int max_passes, DistanceMode,
+                            const topo::DistanceCache* cache) {
+  return refine_mapping(g, topo, m, max_passes, cache);
+}
+
 RefinedStrategy::RefinedStrategy(StrategyPtr base, int max_passes,
-                                 DistanceMode mode, CacheHandlePtr cache)
-    : base_(std::move(base)),
-      max_passes_(max_passes),
-      mode_(mode),
-      cache_(std::move(cache)) {
+                                 CacheHandlePtr cache)
+    : base_(std::move(base)), max_passes_(max_passes), cache_(std::move(cache)) {
   TOPOMAP_REQUIRE(base_ != nullptr, "base strategy is null");
   TOPOMAP_REQUIRE(max_passes_ >= 1, "need at least one sweep");
 }
@@ -255,12 +250,8 @@ RefinedStrategy::RefinedStrategy(StrategyPtr base, int max_passes,
 Mapping RefinedStrategy::map(const graph::TaskGraph& g,
                              const topo::Topology& topo, Rng& rng) const {
   const Mapping base = base_->map(g, topo, rng);
-  if (mode_ == DistanceMode::kCached && cache_) {
-    const auto shared = cache_->get(topo);
-    return refine_mapping(g, topo, base, max_passes_, mode_, shared.get())
-        .mapping;
-  }
-  return refine_mapping(g, topo, base, max_passes_, mode_).mapping;
+  const auto cache = obtain_cache(cache_, topo);
+  return refine_mapping(g, topo, base, max_passes_, cache.get()).mapping;
 }
 
 std::string RefinedStrategy::name() const {

@@ -42,15 +42,19 @@ struct RefineResult {
 ///
 /// The remaining deltas are evaluated speculatively in parallel (see the
 /// implementation note in refine_topo_lb.cpp); results are byte-identical
-/// to the plain sequential first-improvement sweep for any thread count
-/// and for either distance mode.
+/// to the plain sequential first-improvement sweep for any thread count.
 /// `cache` (optional) is a prebuilt distance matrix for `topo`; when given
-/// with kCached mode the sweep reuses it instead of building its own.
+/// the sweep reuses it instead of building its own.
 RefineResult refine_mapping(const graph::TaskGraph& g,
                             const topo::Topology& topo, const Mapping& m,
                             int max_passes = 8,
-                            DistanceMode mode = DistanceMode::kCached,
                             const topo::DistanceCache* cache = nullptr);
+
+/// The spelling perfbench/ calls; the DistanceMode is only kCached.
+RefineResult refine_mapping(const graph::TaskGraph& g,
+                            const topo::Topology& topo, const Mapping& m,
+                            int max_passes, DistanceMode,
+                            const topo::DistanceCache* cache);
 
 /// Change in hop-bytes if tasks a and b exchanged processors under m
 /// (negative = improvement).  Exposed for tests.
@@ -61,7 +65,6 @@ double swap_delta(const graph::TaskGraph& g, const topo::Topology& topo,
 class RefinedStrategy final : public MappingStrategy {
  public:
   RefinedStrategy(StrategyPtr base, int max_passes = 8,
-                  DistanceMode mode = DistanceMode::kCached,
                   CacheHandlePtr cache = nullptr);
 
   Mapping map(const graph::TaskGraph& g, const topo::Topology& topo,
@@ -71,7 +74,6 @@ class RefinedStrategy final : public MappingStrategy {
  private:
   StrategyPtr base_;
   int max_passes_;
-  DistanceMode mode_;
   CacheHandlePtr cache_;  // shared across a composition; may be null
 };
 

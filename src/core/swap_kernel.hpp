@@ -1,8 +1,8 @@
 // Internal: templated pair-swap hop-bytes delta, shared by RefineTopoLB's
-// sweep and AnnealingLB's Metropolis chain.  `Dist` is one of the
-// core/distance_provider.hpp providers; both instantiations compute
-// identical terms in identical order (integer distance difference, then one
-// multiply-accumulate per edge), matching the public swap_delta() exactly.
+// sweep, AnnealingLB's Metropolis chain, hier's level passes and the
+// public swap_delta().  `Dist` is one of the core/distance_provider.hpp
+// providers; the terms and their order (integer distance difference, then
+// one multiply-accumulate per edge) do not depend on which.
 #pragma once
 
 #include "core/distance_provider.hpp"

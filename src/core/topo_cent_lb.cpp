@@ -17,8 +17,8 @@ namespace {
 
 constexpr int kProcGrain = 2048;  // free-processor cost scan
 
-template <class Dist>
-Mapping run_topocent(const graph::TaskGraph& g, const Dist& dist) {
+Mapping run_topocent(const graph::TaskGraph& g,
+                     const detail::CachedDistance& dist) {
   const int n = g.num_vertices();
   Mapping m(static_cast<std::size_t>(n), kUnassigned);
   if (n == 0) return m;
@@ -72,7 +72,7 @@ Mapping run_topocent(const graph::TaskGraph& g, const Dist& dist) {
     // combining the chunk results in ascending chunk order with strict `<`
     // reproduces the sequential lowest-id tie-break exactly.  Per-candidate
     // cost accumulation stays in CSR edge order, so every term and its
-    // summation order match the sequential (and virtual-dispatch) path.
+    // summation order match the sequential path.
     placed_edges.clear();
     for (const graph::Edge& e : g.edges_of(best_task))
       if (task_placed[static_cast<std::size_t>(e.neighbor)])
@@ -130,8 +130,6 @@ Mapping TopoCentLB::map(const graph::TaskGraph& g, const topo::Topology& topo,
   (void)rng;  // fully deterministic given the tie-breaking rules above
   require_square(g, topo);
   if (g.num_vertices() == 0) return {};
-  if (mode_ == DistanceMode::kVirtual)
-    return run_topocent(g, detail::VirtualDistance{topo});
   const auto cache = obtain_cache(cache_, topo);
   return run_topocent(g, detail::CachedDistance{*cache});
 }

@@ -38,9 +38,7 @@ constexpr int kProcGrain = 2048;  // per-free-processor updates
 constexpr int kTopK = 16;
 
 /// All mutable algorithm state, kept in one place so the update steps after
-/// each placement read like the paper's description.  `Dist` is either
-/// detail::CachedDistance or detail::VirtualDistance; both run identical
-/// arithmetic (core/distance_provider.hpp).
+/// each placement read like the paper's description.
 ///
 /// Lazy rows: until a task gains its first placed neighbour its
 /// assigned_cost row is identically zero, so its f landscape is just
@@ -53,9 +51,9 @@ constexpr int kTopK = 16;
 /// would otherwise refill at once.  A row activates (full rescan into its
 /// top-K buffer) the first time step 4 touches it.  Third order refreshes
 /// every row each cycle, so there the lazy path is disabled.
-template <class Dist>
 struct TopoLBState {
-  TopoLBState(const graph::TaskGraph& graph_in, const Dist& dist_in,
+  TopoLBState(const graph::TaskGraph& graph_in,
+              const detail::CachedDistance& dist_in,
               EstimationOrder order_in)
       : g(graph_in), dist(dist_in), order(order_in), n(g.num_vertices()),
         lazy(order_in != EstimationOrder::kThird) {
@@ -428,7 +426,7 @@ struct TopoLBState {
   }
 
   const graph::TaskGraph& g;
-  const Dist dist;
+  const detail::CachedDistance dist;
   const EstimationOrder order;
   const int n;
   const bool lazy;  // passive rows share the global landscape (not 3rd order)
@@ -457,12 +455,11 @@ struct TopoLBState {
   Mapping mapping;
 };
 
-template <class Dist>
-Mapping run_topolb(const graph::TaskGraph& g, const Dist& dist,
-                   EstimationOrder order) {
+Mapping run_topolb(const graph::TaskGraph& g,
+                   const detail::CachedDistance& dist, EstimationOrder order) {
   const int n = g.num_vertices();
   OBS_SPAN("topolb/map");
-  TopoLBState<Dist> st(g, dist, order);
+  TopoLBState st(g, dist, order);
   for (int cycle = 0; cycle < n; ++cycle) {
     if (order == EstimationOrder::kThird && cycle > 0) {
       // Free-set averages moved last cycle; refresh every row (O(p^2)).
@@ -490,8 +487,6 @@ Mapping TopoLB::map(const graph::TaskGraph& g, const topo::Topology& topo,
   (void)rng;  // deterministic; see tie-breaking note in the header
   require_square(g, topo);
   if (g.num_vertices() == 0) return {};
-  if (mode_ == DistanceMode::kVirtual)
-    return run_topolb(g, detail::VirtualDistance{topo}, order_);
   const auto cache = obtain_cache(cache_, topo);
   return run_topolb(g, detail::CachedDistance{*cache}, order_);
 }

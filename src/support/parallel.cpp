@@ -7,9 +7,11 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "support/cli.hpp"
 #include "support/error.hpp"
 
 namespace topomap::support {
@@ -96,15 +98,7 @@ class ThreadPool {
   }
 
  private:
-  ThreadPool() {
-    int n = static_cast<int>(std::thread::hardware_concurrency());
-    if (const char* env = std::getenv("TOPOMAP_THREADS")) {
-      const int parsed = std::atoi(env);
-      if (parsed >= 1) n = parsed;
-    }
-    num_threads_ = n >= 1 ? n : 1;
-    start_workers();
-  }
+  ThreadPool() : num_threads_(configured_num_threads()) { start_workers(); }
 
   ~ThreadPool() { stop_workers(); }
 
@@ -150,6 +144,21 @@ class ThreadPool {
 };
 
 }  // namespace
+
+int parse_thread_count(const std::string& value) {
+  const std::int64_t n = parse_integer(value, "TOPOMAP_THREADS");
+  TOPOMAP_REQUIRE(n >= 1 && n <= kMaxThreads,
+                  "TOPOMAP_THREADS must be in 1.." +
+                      std::to_string(kMaxThreads) + ", got '" + value + "'");
+  return static_cast<int>(n);
+}
+
+int configured_num_threads() {
+  if (const char* env = std::getenv("TOPOMAP_THREADS"))
+    return parse_thread_count(env);
+  const int n = static_cast<int>(std::thread::hardware_concurrency());
+  return n >= 1 ? n : 1;
+}
 
 InlineScope::InlineScope() : prev_(t_in_worker) { t_in_worker = true; }
 

@@ -10,15 +10,30 @@
 // This is the determinism contract every parallel kernel in src/core relies
 // on; see DESIGN.md §"Distance-plane engine".
 //
-// The pool size comes from TOPOMAP_THREADS (env) or hardware concurrency,
-// and can be changed at runtime with set_num_threads().  With one thread —
-// or when called from inside a worker — loops run inline with zero
-// synchronization overhead.
+// The pool size comes from TOPOMAP_THREADS (env, 1..kMaxThreads) or
+// hardware concurrency, and can be changed at runtime with
+// set_num_threads().  With one thread — or when called from inside a
+// worker — loops run inline with zero synchronization overhead.
 #pragma once
 
 #include <functional>
+#include <string>
 
 namespace topomap::support {
+
+/// Largest pool size TOPOMAP_THREADS may ask for.
+inline constexpr int kMaxThreads = 256;
+
+/// The pool size TOPOMAP_THREADS=`value` asks for: the whole of `value` as
+/// an integer in 1..kMaxThreads.  Throws precondition_error naming the
+/// variable otherwise.  Starts no thread.
+int parse_thread_count(const std::string& value);
+
+/// The pool size the environment asks for: parse_thread_count of
+/// TOPOMAP_THREADS when it is set, else hardware concurrency (at least 1).
+/// Starts no thread; binaries call it at start-up so a bad value fails
+/// before any work is done.
+int configured_num_threads();
 
 /// Current worker count (>= 1).  First call initializes the pool from the
 /// TOPOMAP_THREADS environment variable, defaulting to hardware concurrency.

@@ -26,8 +26,7 @@ core::StrategyPtr make_pooled_strategy(const std::string& spec,
   const topo::Topology& topo = machine.machine();
   if (machine.plane && machine.plane->size() == topo.size())
     handle->seed(topo, machine.plane);
-  return core::make_strategy_with_handle(spec, core::DistanceMode::kCached,
-                                         handle);
+  return core::make_strategy_with_handle(spec, handle);
 }
 
 /// On a healthy machine, square strategies need one task per processor;

@@ -314,15 +314,25 @@ struct Server::Impl {
     }
     // Clean-shutdown drain: no new connections, EOF the live ones, wait
     // for their readers, finish every queued request, retire the workers.
-    close_if_open(unix_fd);
-    close_if_open(tcp_fd);
-    if (!options.socket_path.empty()) ::unlink(options.socket_path.c_str());
+    close_listeners();
     {
       std::unique_lock<std::mutex> lock(conn_mu);
       for (const std::weak_ptr<Connection>& w : connections)
         if (const ConnectionPtr c = w.lock()) ::shutdown(c->fd, SHUT_RD);
       readers_done.wait(lock, [&] { return active_readers == 0; });
     }
+    retire_workers();
+  }
+
+  /// Close both listeners and remove the socket file this server bound.
+  void close_listeners() {
+    if (unix_fd >= 0) ::unlink(options.socket_path.c_str());
+    close_if_open(unix_fd);
+    close_if_open(tcp_fd);
+  }
+
+  /// Let the workers finish the queue and exit, then join them.
+  void retire_workers() {
     {
       std::lock_guard<std::mutex> lock(queue_mu);
       draining = true;
@@ -330,6 +340,7 @@ struct Server::Impl {
       queue_push.notify_all();
     }
     for (std::thread& w : worker_threads) w.join();
+    worker_threads.clear();
   }
 };
 
@@ -361,14 +372,25 @@ void Server::start() {
     std::lock_guard<std::mutex> lock(impl->queue_mu);
     return impl->queue.size();
   });
-  impl_->unix_fd = listen_unix(impl_->options.socket_path);
-  if (impl_->options.tcp_port > 0)
-    impl_->tcp_fd = listen_tcp(impl_->options.tcp_port);
-  const std::size_t workers = std::max<std::size_t>(impl_->options.workers, 1);
-  impl_->worker_threads.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i)
-    impl_->worker_threads.emplace_back([this] { impl_->worker_main(); });
-  impl_->accept_thread = std::thread([this] { impl_->accept_main(); });
+  // ~Server cleans up only a started server, so a failure part-way (a TCP
+  // port in use, a thread that cannot start) undoes its own steps here.
+  try {
+    impl_->unix_fd = listen_unix(impl_->options.socket_path);
+    if (impl_->options.tcp_port > 0)
+      impl_->tcp_fd = listen_tcp(impl_->options.tcp_port);
+    const std::size_t workers =
+        std::max<std::size_t>(impl_->options.workers, 1);
+    impl_->worker_threads.reserve(workers);
+    for (std::size_t i = 0; i < workers; ++i)
+      impl_->worker_threads.emplace_back([this] { impl_->worker_main(); });
+    impl_->accept_thread = std::thread([this] { impl_->accept_main(); });
+  } catch (...) {
+    impl_->retire_workers();
+    impl_->close_listeners();
+    close_if_open(impl_->wake_rd);
+    close_if_open(impl_->wake_wr);
+    throw;
+  }
   impl_->started = true;
 }
 

@@ -16,9 +16,12 @@
 //
 // Determinism contract: distance(a, b) returns exactly the virtual
 // Topology::distance(a, b), and mean_distance_from(p) stores *the virtual
-// method's value* (not a matrix-derived re-computation), so kernels running
-// on the cache produce results byte-identical to virtual dispatch — the
-// property tests assert this for every strategy.
+// method's value* (not a matrix-derived re-computation), so a kernel reads
+// the same numbers from the cache as from the topology itself.
+// tests/test_triangle_inequality.cpp checks both, pair by pair and bit for
+// bit, for every topology factory kind, every fault kind and hier's node
+// plane; tests/test_distance_cache.cpp pins each strategy's mappings with
+// golden digests.
 //
 // Weighted plane: the cache is metric-agnostic — it stores whatever
 // write_distance_row produces, in the topology's distance_scale() units.

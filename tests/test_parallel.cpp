@@ -5,6 +5,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "support/error.hpp"
@@ -90,6 +91,25 @@ TEST_F(ParallelTest, SetNumThreadsValidatesAndApplies) {
   EXPECT_EQ(num_threads(), 3);
   set_num_threads(1);
   EXPECT_EQ(num_threads(), 1);
+}
+
+// The TOPOMAP_THREADS parse alone; no pool is started at these values.
+TEST(ThreadCountParse, AcceptsOneToTheCapAndNamesTheVariableOtherwise) {
+  EXPECT_EQ(parse_thread_count("1"), 1);
+  EXPECT_EQ(parse_thread_count("4"), 4);
+  EXPECT_EQ(parse_thread_count(std::to_string(kMaxThreads)), kMaxThreads);
+  for (const std::string& bad : std::vector<std::string>{
+           "abc", "4x", "", "0", "-2", std::to_string(kMaxThreads + 1),
+           "99999999999999999999"}) {
+    try {
+      (void)parse_thread_count(bad);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const precondition_error& e) {
+      EXPECT_NE(std::string(e.what()).find("TOPOMAP_THREADS"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -84,26 +84,24 @@ struct RefineCase {
   TaskGraph g;
   topo::TopologyPtr topo;
   Mapping start;
-  bool virtual_too;  ///< also check DistanceMode::kVirtual (cheap distance())
 };
 
 std::vector<RefineCase> refine_cases() {
   std::vector<RefineCase> cases;
   const auto add = [&](std::string name, TaskGraph g, topo::TopologyPtr t,
-                       std::uint64_t seed, bool virtual_too) {
+                       std::uint64_t seed) {
     Mapping start = random_mapping(g.num_vertices(), *t, seed);
     cases.push_back(
-        {std::move(name), std::move(g), std::move(t), std::move(start),
-         virtual_too});
+        {std::move(name), std::move(g), std::move(t), std::move(start)});
   };
 
   add("non-integer bytes, mesh, n < p",
       scaled_random_graph(130, 0.05, 1.0, 11), topo::make_topology("mesh:12x12"),
-      1, true);
+      1);
   {
     Rng rng(12);
     add("rgg on 3-d torus", graph::random_geometric(125, 0.16, 2.5, rng),
-        topo::make_topology("torus:5x5x5"), 2, true);
+        topo::make_topology("torus:5x5x5"), 2);
   }
   {
     auto overlay = std::make_shared<topo::FaultOverlay>(
@@ -112,15 +110,14 @@ std::vector<RefineCase> refine_cases() {
     overlay->degrade_link(13, 14, 0.25);
     overlay->degrade_link(40, 52, 0.1);
     overlay->degrade_link(100, 101, 0.7);
-    add("degraded-link plane", graph::stencil_2d(12, 12, 3.25), overlay, 3,
-        false);
+    add("degraded-link plane", graph::stencil_2d(12, 12, 3.25), overlay, 3);
   }
   add("fat-tree", scaled_random_graph(64, 0.1, 10.0, 14),
-      topo::make_topology("fattree:4x3"), 4, true);
+      topo::make_topology("fattree:4x3"), 4);
   add("hypercube", graph::stencil_2d(8, 16, 1.5),
-      topo::make_topology("hypercube:7"), 5, true);
+      topo::make_topology("hypercube:7"), 5);
   add("dragonfly", scaled_random_graph(72, 0.08, 1.0, 15),
-      topo::make_topology("dragonfly:8"), 6, true);
+      topo::make_topology("dragonfly:8"), 6);
   {
     auto overlay = std::make_shared<topo::FaultOverlay>(
         topo::make_topology("torus:10x10"));
@@ -129,15 +126,15 @@ std::vector<RefineCase> refine_cases() {
     auto sub =
         std::make_shared<topo::SubTopology>(overlay, overlay->alive_procs());
     add("failed-node SubTopology", scaled_random_graph(96, 0.06, 2.0, 16), sub,
-        7, false);
+        7);
   }
   // Bytes near 1e15: many swaps of the uniform stencil have an exactly-zero
   // delta, and with mixed bytes every rounding error is far above the
   // 1e-12 accept threshold.
   add("large magnitude, exact-zero deltas", graph::stencil_2d(12, 12, 1e15),
-      topo::make_topology("torus:12x12"), 8, true);
+      topo::make_topology("torus:12x12"), 8);
   add("large magnitude, mixed bytes", scaled_random_graph(100, 0.06, 3e14, 17),
-      topo::make_topology("torus:10x10"), 9, true);
+      topo::make_topology("torus:10x10"), 9);
   {
     // Tasks 0 and 1 sit at the ends of a 5-processor line with their
     // neighbours between them, so every triangle in the bound is tight:
@@ -154,8 +151,7 @@ std::vector<RefineCase> refine_cases() {
     b.add_edge(1, 3, 11.0);
     b.add_edge(1, 4, 1e15);
     cases.push_back({"FP margin", std::move(b).build(),
-                     topo::make_topology("mesh:5"), Mapping{0, 4, 1, 3, 2},
-                     true});
+                     topo::make_topology("mesh:5"), Mapping{0, 4, 1, 3, 2}});
   }
   {
     // A TopoLB start: the regime the bound is built for (most pairs far
@@ -165,7 +161,7 @@ std::vector<RefineCase> refine_cases() {
     Rng rng(10);
     Mapping start = core::TopoLB().map(g, *t, rng);
     cases.push_back({"stencil from TopoLB", std::move(g), std::move(t),
-                     std::move(start), true});
+                     std::move(start)});
   }
   return cases;
 }
@@ -186,17 +182,11 @@ TEST_F(RefineEquivalence, PrunedSweepMatchesAllPairsSweep) {
     for (int threads : {1, 4}) {
       SCOPED_TRACE(threads);
       support::set_num_threads(threads);
-      const RefineResult got = core::refine_mapping(
-          c.g, *c.topo, c.start, 8, core::DistanceMode::kCached, &cache);
+      const RefineResult got =
+          core::refine_mapping(c.g, *c.topo, c.start, 8, &cache);
       EXPECT_EQ(got.mapping, want.mapping);
       EXPECT_EQ(got.swaps, want.swaps);
       EXPECT_EQ(got.passes, want.passes);
-      if (c.virtual_too) {
-        const RefineResult virt = core::refine_mapping(
-            c.g, *c.topo, c.start, 8, core::DistanceMode::kVirtual);
-        EXPECT_EQ(virt.mapping, want.mapping);
-        EXPECT_EQ(virt.swaps, want.swaps);
-      }
     }
   }
 }
@@ -208,8 +198,8 @@ TEST_F(RefineEquivalence, SinglePassStopsWhereTheSweepDoes) {
     SCOPED_TRACE(c.name);
     const topo::DistanceCache cache(*c.topo);
     const RefineResult want = all_pairs_refine(c.g, cache, c.start, 1);
-    const RefineResult got = core::refine_mapping(
-        c.g, *c.topo, c.start, 1, core::DistanceMode::kCached, &cache);
+    const RefineResult got =
+        core::refine_mapping(c.g, *c.topo, c.start, 1, &cache);
     EXPECT_EQ(got.mapping, want.mapping);
     EXPECT_EQ(got.swaps, want.swaps);
   }

@@ -3,6 +3,8 @@
 // invalidation, and end-to-end daemon runs over a real unix socket where
 // concurrent clients must observe byte-identical responses to a serial,
 // single-threaded execution of the same requests.
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -720,6 +722,50 @@ TEST(SvcTcp, EndpointsAndPortsOutsideTheValidRangeAreRejected) {
     svc::Server server(options);
     EXPECT_THROW(server.start(), precondition_error) << port;
   }
+}
+
+// start() that fails after binding the unix socket (here: the TCP port is
+// taken) must close what it opened and remove the socket file, so the same
+// path can serve again.
+TEST(SvcServer, FailedStartReleasesTheSocketPath) {
+  const int holder = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(holder, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = 0;  // any free port
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::bind(holder, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(holder, 1), 0);
+  ASSERT_EQ(::getsockname(holder, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+
+  svc::ServerOptions options;
+  options.socket_path = unique_socket_path("portbusy");
+  options.workers = 2;
+  options.tcp_port = ntohs(addr.sin_port);
+  {
+    svc::Server busy(options);
+    EXPECT_THROW(busy.start(), io_error);
+    EXPECT_NE(::access(options.socket_path.c_str(), F_OK), 0)
+        << "socket file left behind";
+  }
+  ::close(holder);
+
+  options.tcp_port = 0;
+  svc::Server server(options);
+  ASSERT_NO_THROW(server.start());
+  {
+    svc::Client client = svc::Client::connect_unix(options.socket_path);
+    svc::Request req;
+    req.id = "after-failed-start";
+    req.kind = svc::RequestKind::kStatus;
+    EXPECT_TRUE(client.call(req).ok);
+  }
+  server.stop();
+  server.join();
 }
 
 TEST(SvcServer, OptionalTcpListenerSpeaksTheSameFraming) {

@@ -1,10 +1,11 @@
 // Property: every distance plane the mapping kernels read is a metric —
-// zero diagonal, symmetric, and d(a,c) <= d(a,b) + d(b,c).  RefineTopoLB's
-// swap lower bound (core/refine_topo_lb.hpp) holds only on such a plane, so
-// the precondition is checked here for every topology factory kind, every
-// fault kind (hard link failure, soft link degradation, node death, and the
-// alive-subset view), and hier's contracted node plane — through both the
-// virtual distance() and the DistanceCache rows the cached kernels use.
+// zero diagonal, symmetric, and d(a,c) <= d(a,b) + d(b,c) — and is exactly
+// the topology's own metric.  RefineTopoLB's swap lower bound
+// (core/refine_topo_lb.hpp) holds only on a metric plane, and the kernels
+// read DistanceCache rows where the paper's algorithms read
+// Topology::distance, so both are checked here for every topology factory
+// kind, every fault kind (hard link failure, soft link degradation, node
+// death, and the alive-subset view), and hier's contracted node plane.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,13 +23,29 @@
 namespace topomap::topo {
 namespace {
 
-/// Check the metric axioms on the processors `procs` of t: exhaustively
-/// for small sets, on random triples otherwise — many through the cached
-/// plane, fewer through distance(), which may run a search per call on a
-/// faulted machine.
+/// Check that the DistanceCache of t equals t on the processors `procs` —
+/// every row entry is t.distance() and every mean is t.mean_distance_from(),
+/// bit for bit — then the metric axioms: exhaustively for small sets, on
+/// random triples otherwise — many through the cached plane, fewer through
+/// distance(), which may run a search per call on a faulted machine.
 void expect_metric(const Topology& t, const std::vector<int>& procs,
                    std::uint64_t seed) {
   const DistanceCache cache(t);
+  int mismatches = 0;
+  for (int a : procs) {
+    const std::uint16_t* row = cache.row(a);
+    for (int b : procs)
+      if (row[b] != t.distance(a, b) && ++mismatches <= 5)
+        ADD_FAILURE() << t.name() << ": row(" << a << ")[" << b
+                      << "]=" << row[b] << " distance=" << t.distance(a, b);
+    if (cache.mean_distance_from(a) != t.mean_distance_from(a) &&
+        ++mismatches <= 5)
+      ADD_FAILURE() << t.name() << ": mean_distance_from(" << a << ") "
+                    << cache.mean_distance_from(a)
+                    << " != " << t.mean_distance_from(a);
+  }
+  EXPECT_EQ(mismatches, 0) << t.name();
+
   const auto k = static_cast<std::uint64_t>(procs.size());
   int violations = 0;
   const auto check = [&](const auto& d, int a, int b, int c) {

@@ -61,6 +61,7 @@
 #include "support/cli.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
+#include "support/parallel.hpp"
 #include "support/table.hpp"
 #include "svc/client.hpp"
 #include "svc/metrics.hpp"
@@ -1030,6 +1031,8 @@ void usage() {
 }
 
 int dispatch(int argc, char** argv) {
+  // A bad TOPOMAP_THREADS fails here, before any command does work.
+  support::configured_num_threads();
   if (argc < 2) {
     usage();
     return 1;

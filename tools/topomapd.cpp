@@ -22,13 +22,16 @@
 // 0 success, 1 usage, 2 invalid input, 3 invariant violation, 4 I/O
 // failure (e.g. the socket path cannot be bound).
 #include <csignal>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <string>
 
 #include "obs/obs.hpp"
 #include "obs/report.hpp"
 #include "support/cli.hpp"
 #include "support/error.hpp"
+#include "support/parallel.hpp"
 #include "svc/server.hpp"
 
 namespace {
@@ -41,6 +44,16 @@ void on_signal(int) {
 
 void on_sigusr1(int) {
   if (g_server != nullptr) g_server->request_flight_dump();
+}
+
+/// --name as a size of at least `min`.  Checked before the cast: a negative
+/// value would otherwise wrap to SIZE_MAX.
+std::size_t size_option(const topomap::CliParser& cli, const std::string& name,
+                        std::int64_t min) {
+  const std::int64_t value = cli.integer(name);
+  TOPOMAP_REQUIRE(value >= min,
+                  "--" + name + " must be at least " + std::to_string(min));
+  return static_cast<std::size_t>(value);
 }
 
 int serve(int argc, char** argv) {
@@ -82,6 +95,8 @@ int serve(int argc, char** argv) {
                  "shutdown",
                  "");
   if (!cli.parse(argc, argv)) return 0;
+  // A bad TOPOMAP_THREADS fails here, not on the first request.
+  support::configured_num_threads();
 
   svc::ServerOptions options;
   options.socket_path = cli.str("socket");
@@ -89,22 +104,16 @@ int serve(int argc, char** argv) {
   TOPOMAP_REQUIRE(tcp_port >= 0 && tcp_port <= 65535,
                   "--tcp-port must be in 1..65535 (0 = unix socket only)");
   options.tcp_port = static_cast<int>(tcp_port);
-  options.workers = static_cast<std::size_t>(cli.integer("workers"));
-  options.queue_capacity = static_cast<std::size_t>(cli.integer("queue"));
-  options.service.cache_capacity =
-      static_cast<std::size_t>(cli.integer("cache"));
+  options.workers = size_option(cli, "workers", 1);
+  options.queue_capacity = size_option(cli, "queue", 1);
+  options.service.cache_capacity = size_option(cli, "cache", 1);
   options.service.report_dir = cli.str("report-dir");
   options.service.event_log_path = cli.str("event-log");
   options.service.event_log_max_bytes =
-      static_cast<std::size_t>(cli.integer("event-log-max-bytes"));
-  options.service.flight_capacity =
-      static_cast<std::size_t>(cli.integer("flight-capacity"));
+      size_option(cli, "event-log-max-bytes", 0);
+  options.service.flight_capacity = size_option(cli, "flight-capacity", 1);
   const std::string trace_path = cli.str("trace");
   const std::string stats_path = cli.str("stats");
-  TOPOMAP_REQUIRE(options.queue_capacity >= 1,
-                  "--queue must be at least 1");
-  TOPOMAP_REQUIRE(options.service.flight_capacity >= 1,
-                  "--flight-capacity must be at least 1");
 
   if (!trace_path.empty() || !stats_path.empty()) {
 #if defined(TOPOMAP_OBS_ENABLED)
