@@ -82,7 +82,7 @@ int run(int argc, char** argv) {
         bench::timed([&] { topo::DistanceCache rebuilt(*overlay); });
 
     const rts::EvacuateComparison cmp = rts::compare_evacuate_vs_remap(
-        g, *overlay, previous, *strategy, rng, refine);
+        g, *overlay, previous, *strategy, rng, {.refine_passes = refine});
     table.add_row({static_cast<std::int64_t>(failures),
                    static_cast<std::int64_t>(cmp.evac.stranded),
                    static_cast<std::int64_t>(cmp.evac.migrations),

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# CI driver: the full suite in release, then the labeled slices under
-# ASan/UBSan (TOPOMAP_SANITIZE=ON).
+# CI driver: the full suite in release (warnings are errors), then the
+# labeled slices under ASan/UBSan (TOPOMAP_SANITIZE=ON).  Both builds carry
+# the obs:: macro sites; the obs and telemetry steps switch recording on at
+# run time and compare against the same binary with recording off.
 #
 # The sanitizer pass runs label by label — unit, property, fault, hier,
 # chaos, oracle, svc — so a failure names the tier that broke, and the
@@ -14,7 +16,8 @@ cd "$(dirname "$0")/.."
 JOBS="${1:-$(nproc)}"
 
 echo "=== release: configure + build + full suite ==="
-cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release -DTOPOMAP_WERROR=ON \
+  >/dev/null
 cmake --build build-ci-release -j "$JOBS"
 ctest --test-dir build-ci-release --output-on-failure -j "$JOBS"
 
@@ -44,16 +47,12 @@ echo "=== bench regression gate (deterministic tables vs baseline) ==="
 # it.  scripts/bench_gate.sh <dir> --update regenerates.
 scripts/bench_gate.sh build-ci-release
 
-echo "=== obs (-DTOPOMAP_OBS=ON): unit slice + artifact validation ==="
-cmake -B build-ci-obs -S . -DCMAKE_BUILD_TYPE=Release -DTOPOMAP_OBS=ON \
-  >/dev/null
-cmake --build build-ci-obs -j "$JOBS"
-ctest --test-dir build-ci-obs --output-on-failure -j "$JOBS" -L unit
+echo "=== obs (release, recording on): artifact validation ==="
 OBS_TMP="$(mktemp -d)"
 trap 'rm -rf "$OBS_TMP"' EXIT
 # One traced mapping; the artifacts must validate and the mapping must be
-# byte-identical to the uninstrumented release build's.
-build-ci-obs/tools/topomap map --strategy=topolb --tasks=stencil2d:16x16 \
+# byte-identical to the same binary's with recording off.
+build-ci-release/tools/topomap map --strategy=topolb --tasks=stencil2d:16x16 \
   --topology=torus:16x16 --seed=7 --output="$OBS_TMP/obs.map" \
   --trace="$OBS_TMP/trace.json" --stats="$OBS_TMP/stats.json" >/dev/null
 python3 scripts/check_trace.py --trace "$OBS_TMP/trace.json" \
@@ -66,7 +65,7 @@ diff "$OBS_TMP/plain.map" "$OBS_TMP/obs.map"
 # Contention explainability: the explain artifact must carry the versioned
 # schema with exact attribution sums, a diff, and netsim counter tracks in
 # the trace (virtual-time telemetry next to the wall-clock spans).
-build-ci-obs/tools/topomap explain --strategy=topolb --baseline=greedy \
+build-ci-release/tools/topomap explain --strategy=topolb --baseline=greedy \
   --tasks=stencil2d:8x8 --topology=torus:8x8 --seed=7 --iterations=30 \
   --report="$OBS_TMP/contention.json" --trace="$OBS_TMP/explain_trace.json" \
   --stats="$OBS_TMP/explain_stats.json" >/dev/null
@@ -77,38 +76,38 @@ python3 scripts/check_trace.py --trace "$OBS_TMP/explain_trace.json" \
   --stats "$OBS_TMP/explain_stats.json" \
   --require-any-series netsim/util_max \
   --require-any-series netsim/queue_depth
-echo "obs slice ok: artifacts validate, mapping identical to release build"
+echo "obs slice ok: artifacts validate, mapping identical with recording off"
 
-echo "=== telemetry e2e (obs build): daemon metrics/flight/event-log ==="
-# The service telemetry plane end to end: an instrumented daemon with the
-# event log active serves requests, its metrics snapshot and flight dump
+echo "=== telemetry e2e (release, recording on): daemon metrics/flight/event-log ==="
+# The service telemetry plane end to end: a recording daemon (--stats) with
+# the event log active serves requests, its metrics snapshot and flight dump
 # validate against the strict schemas (including per-correlation lifecycle
 # nesting), the Prometheus exposition carries the request counters, the
 # latency histograms populate, SIGUSR1 dumps the flight recorder, the
 # event log holds one line per request with unique correlation ids — and
-# the served mapping bytes are identical to an uninstrumented daemon's.
+# the served mapping bytes are identical to a non-recording daemon's.
 SVC_SOCK="$OBS_TMP/topomapd.sock"
-build-ci-obs/tools/topomapd --socket="$SVC_SOCK" --workers=4 \
+build-ci-release/tools/topomapd --socket="$SVC_SOCK" --workers=4 \
   --event-log="$OBS_TMP/events.jsonl" --flight-capacity=64 \
   --stats="$OBS_TMP/svc_stats.json" 2>"$OBS_TMP/topomapd.log" &
 SVC_PID=$!
 for _ in $(seq 50); do [ -S "$SVC_SOCK" ] && break; sleep 0.1; done
 for i in 1 2 3; do
-  build-ci-obs/tools/topomap client --socket="$SVC_SOCK" --kind=map \
+  build-ci-release/tools/topomap client --socket="$SVC_SOCK" --kind=map \
     --tasks=stencil2d:4x4 --topology=torus:4x4 --seed="$i" \
     > "$OBS_TMP/resp_obs_$i.json"
 done
-build-ci-obs/tools/topomap client --socket="$SVC_SOCK" --kind=metrics \
+build-ci-release/tools/topomap client --socket="$SVC_SOCK" --kind=metrics \
   > "$OBS_TMP/metrics.json"
-build-ci-obs/tools/topomap client --socket="$SVC_SOCK" --kind=metrics \
+build-ci-release/tools/topomap client --socket="$SVC_SOCK" --kind=metrics \
   --prom > "$OBS_TMP/metrics.prom"
 grep -q 'topomap_requests_by_kind_total{kind="map",outcome="served"} 3' \
   "$OBS_TMP/metrics.prom"
-build-ci-obs/tools/topomap client --socket="$SVC_SOCK" --kind=flight \
+build-ci-release/tools/topomap client --socket="$SVC_SOCK" --kind=flight \
   > "$OBS_TMP/flight.json"
 python3 scripts/check_trace.py --svc "$OBS_TMP/metrics.json" \
   --svc "$OBS_TMP/flight.json"
-# The instrumented daemon's snapshot must carry per-stage histograms.
+# The recording daemon's snapshot must carry per-stage histograms.
 python3 - "$OBS_TMP/metrics.json" <<'PYEOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))["result"]
@@ -129,8 +128,8 @@ corrs = [l["corr"] for l in lines]
 assert len(lines) >= 5 and len(set(corrs)) == len(corrs), corrs
 PYEOF
 python3 scripts/check_trace.py --stats "$OBS_TMP/svc_stats.json"
-# Telemetry must not perturb served bytes: replay against an
-# uninstrumented daemon and byte-compare the responses.
+# Telemetry must not perturb served bytes: replay against the same binary
+# with recording off and byte-compare the responses.
 PLAIN_SOCK="$OBS_TMP/topomapd-plain.sock"
 build-ci-release/tools/topomapd --socket="$PLAIN_SOCK" --workers=4 \
   2>/dev/null &
@@ -143,9 +142,12 @@ for i in 1 2 3; do
   diff "$OBS_TMP/resp_plain_$i.json" "$OBS_TMP/resp_obs_$i.json"
 done
 kill "$PLAIN_PID" && wait "$PLAIN_PID"
-echo "telemetry e2e ok: schemas validate, bytes identical with obs on/off"
+echo "telemetry e2e ok: schemas validate, bytes identical with recording on/off"
 
 echo "=== sanitize (ASan/UBSan): labeled slices ==="
+# The svc slice drives the live telemetry sites — registry histogram
+# shards, the flight ring's seqlock, the event-log rotation — including the
+# 64-in-flight suites with metrics polling.
 cmake -B build-ci-sanitize -S . -DTOPOMAP_SANITIZE=ON >/dev/null
 cmake --build build-ci-sanitize -j "$JOBS"
 for label in unit property fault hier chaos oracle svc; do
@@ -157,14 +159,5 @@ done
 build-ci-sanitize/tools/topomap chaos --tasks=stencil2d:12x12 \
   --topology=torus:6x6 --epochs=40 --chaos=7:0.8:0.2 >/dev/null
 echo "sanitized chaos soak ok"
-
-echo "=== sanitize + obs: svc slice with telemetry compiled in ==="
-# The telemetry hot paths — registry histogram shards, the flight ring's
-# seqlock, the event-log rotation — under ASan/UBSan with the obs macro
-# sites live, driven by the svc suites (64 in-flight with metrics polling).
-cmake -B build-ci-obs-sanitize -S . -DTOPOMAP_SANITIZE=ON \
-  -DTOPOMAP_OBS=ON >/dev/null
-cmake --build build-ci-obs-sanitize -j "$JOBS"
-ctest --test-dir build-ci-obs-sanitize --output-on-failure -j "$JOBS" -L svc
 
 echo "ci passed"

@@ -240,24 +240,18 @@ grep -Eq 'quarantined: *2 of 4 tasks' "$TMP/part.log"
 grep -q 'split into 2 components' "$TMP/part.log"
 echo "ok: partition map      2 of 4 tasks quarantined on a split mesh:5"
 
-# Observability: an instrumented build (-DTOPOMAP_OBS=ON, CLI target only —
-# the rest of the suite already built above) must emit a schema-valid
-# --stats report whose hop-bytes trajectory is monotone and whose counters
-# fired, a parseable Chrome trace, and a mapping byte-identical to the
-# uninstrumented build's (telemetry only observes).
-OBS_DIR="${BUILD_DIR}-obs"
-cmake -B "$OBS_DIR" -S . -DTOPOMAP_OBS=ON -DTOPOMAP_SANITIZE="$SANITIZE" \
-  >/dev/null
-cmake --build "$OBS_DIR" -j "$(nproc)" --target topomap_cli
-OBS_CLI="$OBS_DIR/tools/topomap"
-"$OBS_CLI" map --strategy=topolb --tasks=stencil2d:8x8 --topology=torus:8x8 \
+# Observability: the same binary with recording switched on must emit a
+# schema-valid --stats report whose hop-bytes trajectory is monotone and
+# whose counters fired, a parseable Chrome trace, and a mapping
+# byte-identical to the run with recording off (telemetry only observes).
+"$CLI" map --strategy=topolb --tasks=stencil2d:8x8 --topology=torus:8x8 \
   --seed=7 --output="$TMP/obs.map" --stats="$TMP/stats.json" \
   --trace="$TMP/trace.json" >/dev/null
 python3 scripts/check_trace.py --trace "$TMP/trace.json" \
   --stats "$TMP/stats.json" --require-series topolb/hop_bytes_trajectory \
   --require-counter topolb/placements
 if ! diff -q "$TMP/plain.map" "$TMP/obs.map" >/dev/null; then
-  echo "FAIL: the instrumented build changed the mapping" >&2
+  echo "FAIL: recording changed the mapping" >&2
   diff "$TMP/plain.map" "$TMP/obs.map" >&2 || true
   exit 1
 fi
@@ -272,8 +266,8 @@ echo "ok: observability      --stats/--trace validate, mapping unchanged"
 python3 scripts/check_trace.py --contention "$TMP/contention.json"
 grep -q 'hottest links:' "$TMP/explain.log"
 grep -Eq 'mapping diff: *max link [0-9]+' "$TMP/explain.log"
-# The instrumented build must put netsim counter tracks in the trace.
-"$OBS_CLI" explain --strategy=topolb --tasks=stencil2d:8x8 \
+# A traced explain run must put netsim counter tracks in the trace.
+"$CLI" explain --strategy=topolb --tasks=stencil2d:8x8 \
   --topology=torus:8x8 --seed=7 --iterations=20 \
   --report="$TMP/obs_contention.json" --trace="$TMP/explain_trace.json" \
   >/dev/null

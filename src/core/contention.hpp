@@ -20,7 +20,7 @@
 //
 // Everything here is ordinary always-compiled code (the obs:: class-API
 // tier, not the OBS_* macro tier): computing an attribution never mutates
-// observability state and is available in -DTOPOMAP_OBS=OFF builds.
+// observability state and works with recording on or off.
 #pragma once
 
 #include <string>

@@ -155,17 +155,16 @@ bool sweep_once(const graph::TaskGraph& g, const detail::CachedDistance& dist,
   while (a < n) {
     const int hi = std::min(a + block, n);
     // Rows a..hi-1 hold (n-1-a) + ... + (n-hi) pairs.
-    OBS_ONLY(const auto block_pairs =
-                 static_cast<std::size_t>(hi - a) *
-                 static_cast<std::size_t>(2 * n - a - hi - 1) / 2;)
+    const auto block_pairs = static_cast<std::size_t>(hi - a) *
+                             static_cast<std::size_t>(2 * n - a - hi - 1) / 2;
     OBS_COUNTER_ADD("refine/swap_attempts", block_pairs);
-    OBS_ONLY(std::size_t walked = 0;)
+    std::size_t walked = 0;
     prepare(a, a + 1, hi);
 
     bool block_swapped = false;
     std::size_t i = 0;
     while (i < pairs.size()) {
-      OBS_ONLY(++walked;)
+      ++walked;
       if (!(deltas[i] < -1e-12)) {
         ++i;
         continue;

@@ -18,8 +18,8 @@
 //    soft-fault-free machines with every task placed).
 //
 // The report lists violations as human-readable strings; callers decide the
-// response.  rts::run_dynamic_lb treats any violation as "repair lied":
-// it falls back from incremental repair to a full rebuild (obs-counted)
+// response.  rts::run_dynamic_lb_detailed treats any violation as "repair
+// lied": it falls back from incremental repair to a full rebuild (obs-counted)
 // instead of crashing — the repair-or-rebuild loop.
 #pragma once
 

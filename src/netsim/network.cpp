@@ -274,12 +274,14 @@ void Network::deliver(SimTime time, std::uint64_t id) {
 
 SimTime Network::run_until_idle() {
   OBS_SPAN("netsim/run_until_idle");
-  OBS_ONLY(std::uint64_t obs_events = 0; std::size_t obs_depth_max = 0;)
+  const bool recording = obs::enabled();
+  std::uint64_t obs_events = 0;
+  std::size_t obs_depth_max = 0;
   while (!queue_.empty()) {
-    OBS_ONLY(if (::topomap::obs::enabled()) {
+    if (recording) [[unlikely]] {
       ++obs_events;
       obs_depth_max = std::max(obs_depth_max, queue_.size());
-    })
+    }
     const Event e = queue_.pop();
     TOPOMAP_ASSERT(e.time + 1e-9 >= now_, "event time went backwards");
     now_ = std::max(now_, e.time);
@@ -304,12 +306,12 @@ SimTime Network::run_until_idle() {
         break;
     }
   }
-  OBS_ONLY(if (obs_events > 0) {
+  if (obs_events > 0) {
     OBS_COUNTER_ADD("netsim/events", obs_events);
     OBS_VALUE("netsim/queue_depth_max", obs_depth_max);
     OBS_VALUE("netsim/link_busy_us_max", max_link_busy_us());
     OBS_VALUE("netsim/link_busy_us_mean", mean_link_busy_us());
-  })
+  }
   if (telemetry_on_ && obs::enabled()) publish_telemetry();
   return now_;
 }

@@ -7,12 +7,12 @@
 
 namespace topomap::obs {
 
-namespace {
-
-std::atomic<bool> g_enabled{[] {
+std::atomic<bool> detail::g_enabled{[] {
   const char* env = std::getenv("TOPOMAP_OBS");
   return env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
 }()};
+
+namespace {
 
 /// Process-local steady epoch, captured on first use.
 std::chrono::steady_clock::time_point epoch() {
@@ -28,9 +28,9 @@ using HistMap = std::map<std::string, Histogram, std::less<>>;
 
 }  // namespace
 
-bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
-
-void set_enabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
+void set_enabled(bool on) {
+  detail::g_enabled.store(on, std::memory_order_relaxed);
+}
 
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(

@@ -3,12 +3,12 @@
 //
 // Instrumentation sites (mapping kernels, DistanceCache repairs, the
 // network simulator, the runtime drivers) record through the OBS_* macros
-// in obs/obs.hpp.  The macros compile to nothing unless the build sets
-// TOPOMAP_OBS=ON, and when compiled in they are guarded by one relaxed
-// atomic-bool load (obs::enabled()), so the disabled path never perturbs
-// the hot loops.  Recording only *observes* — no instrumented kernel reads
-// anything back from the registry — so enabling telemetry can never change
-// a mapping result or break support::parallel's byte-identity contract.
+// in obs/obs.hpp.  Every build carries the macro sites; each is guarded by
+// one inline relaxed atomic-bool load (obs::enabled()), so the disabled
+// path never perturbs the hot loops.  Recording only *observes* — no
+// instrumented kernel reads anything back from the registry — so enabling
+// telemetry can never change a mapping result or break support::parallel's
+// byte-identity contract.
 //
 // Concurrency & determinism: counters, distributions, and histograms are
 // recorded into *thread-local shards* (one uncontended mutex lock per
@@ -30,6 +30,7 @@
 // every current site, which all append from the sequential driver loop.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -41,10 +42,19 @@
 
 namespace topomap::obs {
 
+namespace detail {
+/// The runtime switch's storage, defined once in registry.cpp.  Read it
+/// through enabled(); write it through set_enabled().
+extern std::atomic<bool> g_enabled;
+}  // namespace detail
+
 /// Runtime switch.  Starts true iff the TOPOMAP_OBS environment variable is
-/// set to a value other than "0"/"" — so an instrumented build records
-/// nothing until a CLI flag, a bench hook, or the environment asks for it.
-bool enabled();
+/// set to a value other than "0"/"" — so a binary records nothing until a
+/// CLI flag, a bench hook, or the environment asks for it.  Inline so every
+/// macro site's disabled path is one relaxed load and a branch.
+inline bool enabled() {
+  return detail::g_enabled.load(std::memory_order_relaxed);
+}
 void set_enabled(bool on);
 
 /// Monotonic nanoseconds from a process-local steady_clock epoch.  All span

@@ -186,15 +186,13 @@ void Tracer::reset() {
   }
 }
 
-ScopedSpan::ScopedSpan(const char* name) {
-  if (!enabled()) return;
+void ScopedSpan::open(const char* name) {
   name_ = name;
   depth_ = Tracer::thread_depth()++;
   start_ns_ = now_ns();
 }
 
-ScopedSpan::~ScopedSpan() {
-  if (name_ == nullptr) return;
+void ScopedSpan::close() {
   const std::uint64_t dur = now_ns() - start_ns_;
   --Tracer::thread_depth();
   // Dropped, not recorded, when recording was switched off while the span

@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/registry.hpp"
 #include "support/stats.hpp"
 
 namespace topomap::obs {
@@ -109,15 +110,23 @@ class Tracer {
 /// RAII span: captures the clock on entry when obs::enabled(), records on
 /// exit.  A span that outlives a set_enabled(false) is dropped at close —
 /// the depth counter still balances, but nothing is recorded, so
-/// "disabled" means no sample lands after the switch flips.
+/// "disabled" means no sample lands after the switch flips.  The enabled
+/// test is inline; only a recording span calls out of line.
 class ScopedSpan {
  public:
-  explicit ScopedSpan(const char* name);
-  ~ScopedSpan();
+  explicit ScopedSpan(const char* name) {
+    if (enabled()) [[unlikely]] open(name);
+  }
+  ~ScopedSpan() {
+    if (name_ != nullptr) [[unlikely]] close();
+  }
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
  private:
+  void open(const char* name);
+  void close();
+
   const char* name_ = nullptr;  ///< null when the span is inactive
   std::uint64_t start_ns_ = 0;
   int depth_ = 0;

@@ -26,10 +26,11 @@
 //    never killed.
 //
 // The generator replays its own events against a shadow FaultOverlay via
-// rts::apply_event — exactly the lenient semantics run_dynamic_lb will use
-// — so the emitted timeline is clean: scheduled repairs that no longer
-// apply are dropped at generation time where possible, and the few that
-// remain inapplicable at run time (strict = false) are skipped, not fatal.
+// rts::apply_event — exactly the lenient semantics run_dynamic_lb_detailed
+// will use — so the emitted timeline is clean: scheduled repairs that no
+// longer apply are dropped at generation time where possible, and the few
+// that remain inapplicable at run time (strict = false) are skipped, not
+// fatal.
 // Same base + same config => byte-identical schedule, any thread count.
 #pragma once
 

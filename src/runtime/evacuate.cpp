@@ -269,24 +269,6 @@ EvacuationResult evacuate(const graph::TaskGraph& g,
   return result;
 }
 
-EvacuationResult evacuate(const graph::TaskGraph& g,
-                          const topo::FaultOverlay& overlay,
-                          const core::Mapping& previous, int refine_passes) {
-  EvacuateOptions options;
-  options.refine_passes = refine_passes;
-  return evacuate(g, overlay, previous, options);
-}
-
-EvacuateComparison compare_evacuate_vs_remap(
-    const graph::TaskGraph& g, const topo::FaultOverlay& overlay,
-    const core::Mapping& previous, const core::MappingStrategy& strategy,
-    Rng& rng, int refine_passes) {
-  EvacuateOptions options;
-  options.refine_passes = refine_passes;
-  return compare_evacuate_vs_remap(g, overlay, previous, strategy, rng,
-                                   options);
-}
-
 EvacuateComparison compare_evacuate_vs_remap(
     const graph::TaskGraph& g, const topo::FaultOverlay& overlay,
     const core::Mapping& previous, const core::MappingStrategy& strategy,

@@ -70,12 +70,7 @@ struct EvacuationResult {
 EvacuationResult evacuate(const graph::TaskGraph& g,
                           const topo::FaultOverlay& overlay,
                           const core::Mapping& previous,
-                          const EvacuateOptions& options);
-
-/// Pure hop-bytes form (options with only refine_passes set).
-EvacuationResult evacuate(const graph::TaskGraph& g,
-                          const topo::FaultOverlay& overlay,
-                          const core::Mapping& previous, int refine_passes = 1);
+                          const EvacuateOptions& options = {});
 
 struct EvacuateComparison {
   EvacuationResult evac;
@@ -92,12 +87,6 @@ EvacuateComparison compare_evacuate_vs_remap(const graph::TaskGraph& g,
                                              const core::Mapping& previous,
                                              const core::MappingStrategy& strategy,
                                              Rng& rng,
-                                             const EvacuateOptions& options);
-
-EvacuateComparison compare_evacuate_vs_remap(const graph::TaskGraph& g,
-                                             const topo::FaultOverlay& overlay,
-                                             const core::Mapping& previous,
-                                             const core::MappingStrategy& strategy,
-                                             Rng& rng, int refine_passes = 1);
+                                             const EvacuateOptions& options = {});
 
 }  // namespace topomap::rts

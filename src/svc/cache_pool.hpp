@@ -22,7 +22,7 @@
 // keep their machine alive.  Hits/misses/evictions are counted both in
 // always-on pool stats (served via the `status` request and the load
 // bench) and as obs:: counters (svc/cache_hits, svc/cache_misses,
-// svc/cache_evictions) in instrumented builds.
+// svc/cache_evictions) while obs recording is on.
 #pragma once
 
 #include <cstdint>

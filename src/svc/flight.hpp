@@ -3,8 +3,8 @@
 // daemon.
 //
 // Unlike the obs:: plane, the recorder is *always on* (it is not behind
-// the TOPOMAP_OBS build gate): a stuck daemon in an uninstrumented build
-// must still be debuggable.  The cost budget that buys is one relaxed
+// the obs::enabled() runtime switch): a stuck daemon that was started
+// without --trace/--stats must still be debuggable.  The cost budget that buys is one relaxed
 // fetch_add plus a handful of stores per event — no locks, no allocation,
 // no syscalls — so recording never backpressures the request path.
 //

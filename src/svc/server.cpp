@@ -5,6 +5,7 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -49,20 +50,55 @@ void close_if_open(int& fd) {
   }
 }
 
-int listen_unix(const std::string& path) {
+/// Identity of the socket file a server bound, so shutdown removes that
+/// file and never one a later server put at the same path.
+struct SocketFileId {
+  dev_t dev = 0;
+  ino_t ino = 0;
+};
+
+bool file_id(const std::string& path, SocketFileId* id) {
+  struct stat st {};
+  if (::lstat(path.c_str(), &st) != 0) return false;
+  *id = {st.st_dev, st.st_ino};
+  return true;
+}
+
+/// Clear the way for bind(): a live server at `path` (connect() succeeds)
+/// is an error, a stale socket file (connect() refused) is removed, and
+/// anything else is left for bind() to report.
+void claim_unix_path(const std::string& path, const sockaddr_un& addr) {
+  const int probe = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (probe < 0)
+    throw io_error(std::string("topomapd: socket() failed: ") +
+                   std::strerror(errno));
+  const bool live = ::connect(probe, reinterpret_cast<const sockaddr*>(&addr),
+                              sizeof(addr)) == 0;
+  const int err = errno;
+  ::close(probe);
+  if (live)
+    throw io_error("topomapd: a server is already listening on '" + path +
+                   "'");
+  struct stat st {};
+  if (err == ECONNREFUSED && ::lstat(path.c_str(), &st) == 0 &&
+      S_ISSOCK(st.st_mode))
+    ::unlink(path.c_str());
+}
+
+int listen_unix(const std::string& path, SocketFileId* bound) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   if (path.empty() || path.size() >= sizeof(addr.sun_path))
     throw io_error("topomapd: socket path '" + path +
                    "' is empty or too long for a unix socket");
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  claim_unix_path(path, addr);
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (fd < 0)
     throw io_error(std::string("topomapd: socket() failed: ") +
                    std::strerror(errno));
-  ::unlink(path.c_str());  // replace a stale socket file from a dead daemon
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      ::listen(fd, 64) < 0) {
+      ::listen(fd, 64) < 0 || !file_id(path, bound)) {
     const int err = errno;
     ::close(fd);
     throw io_error("topomapd: cannot listen on '" + path +
@@ -99,6 +135,7 @@ struct Server::Impl {
   Service service;
 
   int unix_fd = -1;
+  SocketFileId unix_file;  ///< the file unix_fd was bound to
   int tcp_fd = -1;
   int wake_rd = -1;
   int wake_wr = -1;
@@ -324,9 +361,13 @@ struct Server::Impl {
     retire_workers();
   }
 
-  /// Close both listeners and remove the socket file this server bound.
+  /// Close both listeners and remove the socket file this server bound,
+  /// unless another server has since replaced it.
   void close_listeners() {
-    if (unix_fd >= 0) ::unlink(options.socket_path.c_str());
+    SocketFileId now;
+    if (unix_fd >= 0 && file_id(options.socket_path, &now) &&
+        now.dev == unix_file.dev && now.ino == unix_file.ino)
+      ::unlink(options.socket_path.c_str());
     close_if_open(unix_fd);
     close_if_open(tcp_fd);
   }
@@ -375,7 +416,8 @@ void Server::start() {
   // ~Server cleans up only a started server, so a failure part-way (a TCP
   // port in use, a thread that cannot start) undoes its own steps here.
   try {
-    impl_->unix_fd = listen_unix(impl_->options.socket_path);
+    impl_->unix_fd =
+        listen_unix(impl_->options.socket_path, &impl_->unix_file);
     if (impl_->options.tcp_port > 0)
       impl_->tcp_fd = listen_tcp(impl_->options.tcp_port);
     const std::size_t workers =

@@ -28,7 +28,7 @@
 // svc::FlightRecorder ring, and the optional JSONL EventLog.  Timing only
 // *observes*: stage clocks never change a mapping result, so served bytes
 // are byte-identical with telemetry on or off.  The obs::Histogram feeds
-// are OBS-macro-gated (zero overhead in TOPOMAP_OBS=OFF builds); the
+// run only while obs recording is on (one relaxed load otherwise); the
 // flight recorder and per-kind atomic counters are always on and
 // allocation-free per event.
 //

@@ -424,20 +424,26 @@ TEST(DynamicLB, PartitionQuarantinesThenRestoreReadmits) {
   EXPECT_EQ(run.history.back().quarantined, 0);
 }
 
-TEST(DynamicLB, EmptyTimelineMatchesLegacyRun) {
-  // The resilience machinery must be invisible when nothing goes wrong:
-  // an event-free detailed run reproduces the legacy wrapper bit-for-bit.
+TEST(DynamicLB, EmptyTimelineLeavesResilienceIdle) {
+  // The resilience machinery must be invisible when nothing goes wrong: an
+  // event-free run applies, repairs, rebuilds and quarantines nothing.
   const auto g = graph::stencil_2d(8, 8, 16.0);
   const auto t = make_topology("torus:4x4");
-  Rng rng_a(13), rng_b(13);
-  const auto legacy = rts::run_dynamic_lb(g, *t, soak_config(5), rng_a);
-  const rts::DynamicLBRun detailed =
-      rts::run_dynamic_lb_detailed(g, *t, soak_config(5), rng_b);
-  ASSERT_EQ(detailed.history.size(), legacy.size());
-  for (std::size_t e = 0; e < legacy.size(); ++e) {
-    EXPECT_DOUBLE_EQ(detailed.history[e].hops_per_byte,
-                     legacy[e].hops_per_byte);
-    EXPECT_EQ(detailed.history[e].migrations, legacy[e].migrations);
+  Rng rng(13);
+  const rts::DynamicLBRun run =
+      rts::run_dynamic_lb_detailed(g, *t, soak_config(5), rng);
+  ASSERT_EQ(run.history.size(), 5u);
+  EXPECT_EQ(run.events_applied, 0);
+  EXPECT_EQ(run.events_skipped, 0);
+  EXPECT_EQ(run.plane_rebuilds, 0);
+  EXPECT_EQ(run.violations, 0);
+  EXPECT_EQ(run.max_quarantined, 0);
+  EXPECT_EQ(run.partitioned_epochs, 0);
+  for (const rts::DynamicEpochStats& e : run.history) {
+    EXPECT_EQ(e.alive_procs, 16);
+    EXPECT_EQ(e.components, 1);
+    EXPECT_EQ(e.plane_rows_repaired, 0);
+    EXPECT_FALSE(e.plane_rebuilt);
   }
 }
 

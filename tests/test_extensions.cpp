@@ -211,7 +211,8 @@ TEST(DynamicLB, ZeroDriftIncrementalHasZeroMigrations) {
   config.load_drift = 0.0;
   config.comm_drift = 0.0;
   Rng rng(11);
-  const auto history = rts::run_dynamic_lb(g, *t, config, rng);
+  const auto history =
+      rts::run_dynamic_lb_detailed(g, *t, config, rng).history;
   ASSERT_EQ(history.size(), 5u);
   for (const auto& epoch : history) EXPECT_EQ(epoch.migrations, 0);
 }
@@ -221,10 +222,13 @@ TEST(DynamicLB, IncrementalMigratesLessThanScratch) {
   const auto t = topo::make_topology("torus:5x5");
   Rng rng_a(13), rng_b(13);
   const auto scratch =
-      rts::run_dynamic_lb(g, *t, dynamic_config(rts::RemapPolicy::kScratch),
-                          rng_a);
-  const auto incremental = rts::run_dynamic_lb(
-      g, *t, dynamic_config(rts::RemapPolicy::kIncremental), rng_b);
+      rts::run_dynamic_lb_detailed(
+          g, *t, dynamic_config(rts::RemapPolicy::kScratch), rng_a)
+          .history;
+  const auto incremental =
+      rts::run_dynamic_lb_detailed(
+          g, *t, dynamic_config(rts::RemapPolicy::kIncremental), rng_b)
+          .history;
   long scratch_moves = 0, incr_moves = 0;
   for (const auto& e : scratch) scratch_moves += e.migrations;
   for (const auto& e : incremental) incr_moves += e.migrations;
@@ -239,8 +243,9 @@ TEST(DynamicLB, FirstEpochHasNoMigrationsByDefinition) {
   const auto t = topo::make_topology("torus:4x4");
   Rng rng(17);
   const auto history =
-      rts::run_dynamic_lb(g, *t, dynamic_config(rts::RemapPolicy::kScratch),
-                          rng);
+      rts::run_dynamic_lb_detailed(
+          g, *t, dynamic_config(rts::RemapPolicy::kScratch), rng)
+          .history;
   EXPECT_EQ(history.front().migrations, 0);
 }
 
@@ -250,10 +255,12 @@ TEST(DynamicLB, RejectsBadConfig) {
   Rng rng(1);
   auto config = dynamic_config(rts::RemapPolicy::kScratch);
   config.load_drift = 1.0;
-  EXPECT_THROW(rts::run_dynamic_lb(g, *t, config, rng), precondition_error);
+  EXPECT_THROW(rts::run_dynamic_lb_detailed(g, *t, config, rng),
+               precondition_error);
   config = dynamic_config(rts::RemapPolicy::kScratch);
   config.pipeline.mapper = nullptr;
-  EXPECT_THROW(rts::run_dynamic_lb(g, *t, config, rng), precondition_error);
+  EXPECT_THROW(rts::run_dynamic_lb_detailed(g, *t, config, rng),
+               precondition_error);
 }
 
 // ---------------------------------------------------------------------------

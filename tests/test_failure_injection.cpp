@@ -231,7 +231,8 @@ TEST(Evacuate, ZeroRefineMovesExactlyTheStrandedTasks) {
   overlay->fail_node(7);
   overlay->fail_node(11);
 
-  const EvacuationResult r = evacuate(g, *overlay, previous, /*refine=*/0);
+  const EvacuationResult r =
+      evacuate(g, *overlay, previous, {.refine_passes = 0});
   EXPECT_EQ(r.stranded, 3);
   EXPECT_EQ(r.migrations, 3);  // exactly the stranded tasks, nothing else
   EXPECT_EQ(r.refine_swaps, 0);
@@ -245,11 +246,13 @@ TEST(Evacuate, ZeroRefineMovesExactlyTheStrandedTasks) {
     EXPECT_TRUE(overlay->is_alive(proc));
     EXPECT_FALSE(used[static_cast<std::size_t>(proc)]);
     used[static_cast<std::size_t>(proc)] = 1;
-    if (overlay->is_alive(previous[task]))
+    if (overlay->is_alive(previous[task])) {
       EXPECT_EQ(proc, previous[task]) << "survivor " << task << " moved";
+    }
   }
   // Deterministic.
-  EXPECT_EQ(evacuate(g, *overlay, previous, 0).mapping, r.mapping);
+  EXPECT_EQ(evacuate(g, *overlay, previous, {.refine_passes = 0}).mapping,
+            r.mapping);
 }
 
 TEST(Evacuate, RefinementNeverWorsensHopBytes) {
@@ -259,8 +262,10 @@ TEST(Evacuate, RefinementNeverWorsensHopBytes) {
   const core::Mapping previous = core::identity_mapping(12);
   overlay->fail_node(5);
   overlay->fail_node(6);
-  const EvacuationResult r0 = evacuate(g, *overlay, previous, 0);
-  const EvacuationResult r2 = evacuate(g, *overlay, previous, 2);
+  const EvacuationResult r0 =
+      evacuate(g, *overlay, previous, {.refine_passes = 0});
+  const EvacuationResult r2 =
+      evacuate(g, *overlay, previous, {.refine_passes = 2});
   EXPECT_LE(r2.hop_bytes, r0.hop_bytes + 1e-9);
   EXPECT_GE(r2.migrations, r2.stranded);
   EXPECT_LE(r2.migrations, r2.stranded + 2 * r2.refine_swaps + 12);
@@ -272,7 +277,8 @@ TEST(Evacuate, FailsFastWhenStrandedCannotFit) {
       std::make_shared<FaultOverlay>(topo::make_topology("torus:4x4"));
   const core::Mapping previous = core::identity_mapping(16);
   overlay->fail_node(9);  // zero free alive processors remain
-  EXPECT_THROW(evacuate(g, *overlay, previous, 0), precondition_error);
+  EXPECT_THROW(evacuate(g, *overlay, previous, {.refine_passes = 0}),
+               precondition_error);
 }
 
 TEST(Evacuate, ComparisonMigratesFarLessThanFullRemap) {
@@ -295,6 +301,11 @@ TEST(Evacuate, ComparisonMigratesFarLessThanFullRemap) {
   EXPECT_LE(cmp.evac.hop_bytes, 1.10 * cmp.full_hop_bytes);
 }
 
+/// Processor `proc` dies at the start of `epoch`, skipped if already dead.
+Event node_death(int epoch, int proc) {
+  return Event{epoch, EventKind::kNodeFail, proc, 0, 1.0, /*strict=*/false};
+}
+
 TEST(DynamicLBFaults, ShrinksMachineAndKeepsPlacementsAlive) {
   const auto g = graph::stencil_2d(6, 6, 1.0);  // 36 objects
   const auto topo = topo::make_topology("torus:6x6");
@@ -305,9 +316,10 @@ TEST(DynamicLBFaults, ShrinksMachineAndKeepsPlacementsAlive) {
     config.policy = policy;
     config.pipeline.partitioner = part::make_partitioner("multilevel");
     config.pipeline.mapper = core::make_strategy("topolb");
-    config.faults = {{2, 7}, {2, 8}, {4, 20}};
+    config.events = {node_death(2, 7), node_death(2, 8), node_death(4, 20)};
     Rng rng(11);
-    const auto history = run_dynamic_lb(g, *topo, config, rng);
+    const auto history =
+        run_dynamic_lb_detailed(g, *topo, config, rng).history;
     ASSERT_EQ(history.size(), 6u);
     EXPECT_EQ(history[0].alive_procs, 36);
     EXPECT_EQ(history[1].alive_procs, 36);
@@ -331,15 +343,18 @@ TEST(DynamicLBFaults, ValidatesFaultEvents) {
   DynamicLBConfig config;
   config.epochs = 3;
   config.pipeline.mapper = core::make_strategy("topolb");
-  config.faults = {{1, 5}};
+  config.events = {node_death(1, 5)};
   Rng rng(1);
   // Faults require a partitioner (objects outnumber alive processors).
-  EXPECT_THROW(run_dynamic_lb(g, *topo, config, rng), precondition_error);
+  EXPECT_THROW(run_dynamic_lb_detailed(g, *topo, config, rng),
+               precondition_error);
   config.pipeline.partitioner = part::make_partitioner("multilevel");
-  config.faults = {{7, 5}};  // epoch out of range
-  EXPECT_THROW(run_dynamic_lb(g, *topo, config, rng), precondition_error);
-  config.faults = {{1, 99}};  // processor out of range
-  EXPECT_THROW(run_dynamic_lb(g, *topo, config, rng), precondition_error);
+  config.events = {node_death(7, 5)};  // epoch out of range
+  EXPECT_THROW(run_dynamic_lb_detailed(g, *topo, config, rng),
+               precondition_error);
+  config.events = {node_death(1, 99)};  // processor out of range
+  EXPECT_THROW(run_dynamic_lb_detailed(g, *topo, config, rng),
+               precondition_error);
 }
 
 }  // namespace

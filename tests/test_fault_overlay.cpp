@@ -397,7 +397,8 @@ TEST(Evacuate, TieBreaksToLowestProcessorId) {
   auto overlay = std::make_shared<FaultOverlay>(make_topology("torus:8"));
   const core::Mapping previous{0, 2, 4, 6};
   overlay->fail_node(2);
-  const EvacuationResult r = evacuate(g, *overlay, previous, 0);
+  const EvacuationResult r =
+      evacuate(g, *overlay, previous, {.refine_passes = 0});
   EXPECT_EQ(r.stranded, 1);
   EXPECT_EQ(r.migrations, 1);
   ASSERT_EQ(r.mapping.size(), 4u);
@@ -428,11 +429,11 @@ TEST(Evacuate, CompareEvacuateVsRemapIsThreadCountInvariant) {
   support::set_num_threads(1);
   Rng rng1(3);
   const EvacuateComparison c1 =
-      compare_evacuate_vs_remap(g, *overlay, previous, *strategy, rng1, 1);
+      compare_evacuate_vs_remap(g, *overlay, previous, *strategy, rng1);
   support::set_num_threads(4);
   Rng rng4(3);
   const EvacuateComparison c4 =
-      compare_evacuate_vs_remap(g, *overlay, previous, *strategy, rng4, 1);
+      compare_evacuate_vs_remap(g, *overlay, previous, *strategy, rng4);
   support::set_num_threads(1);
 
   EXPECT_EQ(c1.evac.mapping, c4.evac.mapping);

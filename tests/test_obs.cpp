@@ -1,7 +1,8 @@
 // The obs:: subsystem: JSON round-trips, registry merge determinism across
 // worker-pool sizes, span nesting and the Chrome-trace exporter, the
-// schema-versioned Report, and — in instrumented builds — the contract that
-// enabling telemetry never changes a mapping result.
+// schema-versioned Report, the contract that enabling telemetry never
+// changes a mapping result, and that live macro sites record nothing while
+// recording is off.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,6 +14,7 @@
 
 #include "core/mapping.hpp"
 #include "core/metrics.hpp"
+#include "core/strategy.hpp"
 #include "core/topo_lb.hpp"
 #include "graph/builders.hpp"
 #include "graph/task_graph.hpp"
@@ -387,9 +389,7 @@ TEST_F(ObsTest, ReportTableMixesStringsAndNumbers) {
   EXPECT_EQ(row.items()[1].as_number(), 1.5);
 }
 
-// --- Instrumented kernels (macro sites compiled in) -----------------------
-
-#if defined(TOPOMAP_OBS_ENABLED)
+// --- Instrumented kernels -------------------------------------------------
 
 // Telemetry only observes: the mapping with recording on must be
 // byte-identical to the mapping with recording off.
@@ -456,27 +456,40 @@ TEST_F(ObsTest, InstrumentedMappingIsThreadCountInvariant) {
   }
 }
 
-#endif  // TOPOMAP_OBS_ENABLED
+// Every build carries the macro sites; with recording off they must leave
+// no trace, from the flat kernels (TopoLB's trajectory, RefineTopoLB's
+// pruning tallies) to the multilevel path (partition, coarsening, spans).
+TEST_F(ObsTest, LiveMacroSitesRecordNothingWhileDisabled) {
+  const auto flat_g = graph::stencil_2d(8, 8, 1.0);
+  const auto flat_topo = topo::make_topology("torus:8x8");
+  const auto hier_g = graph::stencil_2d(16, 16, 1.0);
+  const auto hier_topo = topo::make_topology("torus:4x4");
+  const auto run = [&] {
+    Rng rng_flat(3);
+    (void)core::make_strategy("topolb+refine")
+        ->map(flat_g, *flat_topo, rng_flat);
+    Rng rng_hier(3);
+    (void)core::make_strategy("hier")->map(hier_g, *hier_topo, rng_hier);
+  };
+  run();
+  const Registry& reg = Registry::instance();
+  EXPECT_TRUE(reg.counters().empty());
+  EXPECT_TRUE(reg.distributions().empty());
+  EXPECT_TRUE(reg.histograms().empty());
+  EXPECT_TRUE(reg.series().empty());
+  EXPECT_TRUE(Tracer::instance().spans().empty());
+  EXPECT_TRUE(Tracer::instance().counters().empty());
 
-// --- Load-aware evacuation (satellite of this PR) -------------------------
-
-TEST_F(ObsTest, EvacuateZeroLoadWeightMatchesLegacyOverload) {
-  const auto g = graph::stencil_2d(3, 4, 1.0);
-  auto overlay = topo::FaultOverlay(topo::make_topology("torus:4x4"));
-  const core::Mapping previous = core::identity_mapping(12);
-  overlay.fail_node(2);
-  overlay.fail_node(7);
-
-  const rts::EvacuationResult legacy =
-      rts::evacuate(g, overlay, previous, /*refine_passes=*/2);
-  rts::EvacuateOptions options;
-  options.refine_passes = 2;
-  options.load_weight = 0.0;
-  const rts::EvacuationResult r = rts::evacuate(g, overlay, previous, options);
-  EXPECT_EQ(r.mapping, legacy.mapping);
-  EXPECT_EQ(r.migrations, legacy.migrations);
-  EXPECT_GE(r.load_imbalance, 1.0);
+  // The same runs with recording on reach those sites.
+  set_enabled(true);
+  run();
+  EXPECT_GE(reg.counter("topolb/placements"), 64u);  // hier's coarse solve adds
+  EXPECT_GT(reg.counter("refine/swap_attempts"), 0u);
+  EXPECT_EQ(reg.counter("hier/placements"), 256u);
+  EXPECT_EQ(Tracer::instance().rollup().count("hier/map"), 1u);
 }
+
+// --- Load-aware evacuation -----------------------------------------------
 
 TEST_F(ObsTest, EvacuateLoadWeightYieldsValidMappingAndImbalance) {
   // Heavy tasks stranded on failed processors: the load-aware score must

@@ -205,8 +205,6 @@ TEST_F(RefineEquivalence, SinglePassStopsWhereTheSweepDoes) {
   }
 }
 
-#if defined(TOPOMAP_OBS_ENABLED)
-
 TEST_F(RefineEquivalence, PrunedPairCounterIsThreadCountInvariant) {
   const auto t = topo::make_topology("torus:12x12");
   const TaskGraph g = graph::stencil_2d(12, 12, 1.0);
@@ -230,21 +228,6 @@ TEST_F(RefineEquivalence, PrunedPairCounterIsThreadCountInvariant) {
   EXPECT_GT(one.at("refine/pairs_pruned"), 0u);
   EXPECT_LE(one.at("refine/pairs_pruned"), one.at("refine/swap_attempts"));
 }
-
-#else
-
-TEST_F(RefineEquivalence, ObsOffBuildRecordsNoPrunedPairs) {
-  const auto t = topo::make_topology("torus:8x8");
-  const TaskGraph g = graph::stencil_2d(8, 8, 1.0);
-  obs::set_enabled(true);
-  obs::Registry::instance().reset();
-  core::refine_mapping(g, *t, random_mapping(64, *t, 3));
-  const auto counters = obs::Registry::instance().counters();
-  obs::set_enabled(false);
-  EXPECT_EQ(counters.count("refine/pairs_pruned"), 0u);
-}
-
-#endif  // TOPOMAP_OBS_ENABLED
 
 // ---------------------------------------------------------------------------
 // FM

@@ -768,6 +768,92 @@ TEST(SvcServer, FailedStartReleasesTheSocketPath) {
   server.join();
 }
 
+bool status_answers(const std::string& socket_path) {
+  svc::Client client = svc::Client::connect_unix(socket_path);
+  svc::Request req;
+  req.id = "alive";
+  req.kind = svc::RequestKind::kStatus;
+  return client.call(req).ok;
+}
+
+bool path_exists(const std::string& path) {
+  return ::access(path.c_str(), F_OK) == 0;
+}
+
+// A second server on a path a live server listens on must fail loudly
+// instead of taking the path over, and must leave the live server's file.
+TEST(SvcServer, SecondServerOnALivePathFailsAndTheFirstStillAnswers) {
+  svc::ServerOptions options;
+  options.socket_path = unique_socket_path("live");
+  options.workers = 1;
+  svc::Server first(options);
+  ASSERT_NO_THROW(first.start());
+  {
+    svc::Server second(options);
+    try {
+      second.start();
+      ADD_FAILURE() << "second server started on a live path";
+    } catch (const io_error& e) {
+      EXPECT_NE(std::string(e.what()).find(options.socket_path),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_TRUE(path_exists(options.socket_path));
+  EXPECT_TRUE(status_answers(options.socket_path));
+  first.stop();
+  first.join();
+  EXPECT_FALSE(path_exists(options.socket_path));
+}
+
+// A socket file nobody listens on (a daemon that died without cleanup) is
+// stale: the next server replaces it.
+TEST(SvcServer, StaleSocketFileIsReplaced) {
+  const std::string path = unique_socket_path("stale");
+  {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s", path.c_str());
+    ::unlink(path.c_str());
+    ASSERT_EQ(::bind(fd, reinterpret_cast<const sockaddr*>(&addr),
+                     sizeof(addr)),
+              0);
+    ::close(fd);  // leaves the file behind, with no listener
+  }
+  ASSERT_TRUE(path_exists(path));
+  svc::ServerOptions options;
+  options.socket_path = path;
+  options.workers = 1;
+  svc::Server server(options);
+  ASSERT_NO_THROW(server.start());
+  EXPECT_TRUE(status_answers(path));
+  server.stop();
+  server.join();
+  EXPECT_FALSE(path_exists(path));
+}
+
+// Shutdown removes the socket file only while it is still the one this
+// server bound; a later server's file at the same path survives.
+TEST(SvcServer, StoppingOneServerNeverRemovesAnotherServersFile) {
+  svc::ServerOptions options;
+  options.socket_path = unique_socket_path("handoff");
+  options.workers = 1;
+  svc::Server old_server(options);
+  ASSERT_NO_THROW(old_server.start());
+  ::unlink(options.socket_path.c_str());  // the old file goes away...
+  svc::Server new_server(options);        // ...and a new server takes P
+  ASSERT_NO_THROW(new_server.start());
+  old_server.stop();
+  old_server.join();
+  EXPECT_TRUE(path_exists(options.socket_path));
+  EXPECT_TRUE(status_answers(options.socket_path));
+  new_server.stop();
+  new_server.join();
+  EXPECT_FALSE(path_exists(options.socket_path));
+}
+
 TEST(SvcServer, OptionalTcpListenerSpeaksTheSameFraming) {
   svc::ServerOptions options;
   options.socket_path = unique_socket_path("tcp");

@@ -32,9 +32,8 @@
 // JSON of the run's phase spans; load in chrome://tracing or
 // ui.perfetto.dev) and --stats=FILE (a schema-versioned obs::Report with
 // counters, span rollups, and series such as TopoLB's per-iteration
-// hop-bytes trajectory).  Both need a build with -DTOPOMAP_OBS=ON to carry
-// instrumentation data; an OFF build still writes schema-valid artifacts
-// and warns that they are empty.
+// hop-bytes trajectory).  Every build carries the instrumentation; it
+// records only while one of these flags (or TOPOMAP_OBS=1) is set.
 #include <unistd.h>
 
 #include <algorithm>
@@ -91,14 +90,7 @@ struct ObsOutputs {
 
   explicit ObsOutputs(const CliParser& cli)
       : trace_path(cli.str("trace")), stats_path(cli.str("stats")) {
-    if (trace_path.empty() && stats_path.empty()) return;
-#if defined(TOPOMAP_OBS_ENABLED)
-    obs::set_enabled(true);
-#else
-    std::cerr << "warning: this binary was built without -DTOPOMAP_OBS=ON; "
-                 "--trace/--stats artifacts will carry no instrumentation "
-                 "data\n";
-#endif
+    if (!trace_path.empty() || !stats_path.empty()) obs::set_enabled(true);
   }
 
   /// The run's identity metadata (the seed as typed).
@@ -1004,7 +996,7 @@ int cmd_top(int argc, const char* const* argv) {
     if (table.row_count() > 0) table.print(std::cout);
     else
       std::cout << "(no latency histograms yet — run the daemon with "
-                   "TOPOMAP_OBS=1 and a -DTOPOMAP_OBS=ON build)\n";
+                   "--stats/--trace or TOPOMAP_OBS=1)\n";
     std::cout.flush();
   }
   return 0;

@@ -15,7 +15,7 @@
 // SIGUSR1 dumps it to stderr, and the `flight` request kind returns it as
 // JSON.  --event-log=FILE appends one JSONL line per request with
 // size-based rotation (FILE -> FILE.1).  --trace/--stats write the usual
-// obs artifacts at shutdown (needs a -DTOPOMAP_OBS=ON build for content).
+// obs artifacts at shutdown and switch recording on for the whole run.
 //
 // SIGTERM/SIGINT trigger a clean drain: stop accepting, finish every
 // queued request, exit 0.  Exit codes follow the topomap taxonomy:
@@ -115,15 +115,7 @@ int serve(int argc, char** argv) {
   const std::string trace_path = cli.str("trace");
   const std::string stats_path = cli.str("stats");
 
-  if (!trace_path.empty() || !stats_path.empty()) {
-#if defined(TOPOMAP_OBS_ENABLED)
-    obs::set_enabled(true);
-#else
-    std::cerr << "warning: this binary was built without -DTOPOMAP_OBS=ON;"
-                 " --trace/--stats artifacts will carry no instrumentation"
-                 " data\n";
-#endif
-  }
+  if (!trace_path.empty() || !stats_path.empty()) obs::set_enabled(true);
 
   // write_frame uses MSG_NOSIGNAL, but ignore SIGPIPE globally anyway so
   // a vanished client can never kill the daemon.
