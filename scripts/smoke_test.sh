@@ -16,14 +16,15 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
 # Thread-count invariance: the same map request must produce identical
-# 'task processor' lines with a 1-worker and a 2-worker pool.
+# 'task processor' lines with a 1-worker and a 2-worker pool.  The topocent
+# case runs on 2304 processors, two chunks of its pooled processor scan.
 CLI="$BUILD_DIR/tools/topomap"
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 for spec in \
   "--strategy=topolb   --tasks=stencil2d:16x16 --topology=torus:16x16" \
   "--strategy=topolb3  --tasks=stencil2d:8x8   --topology=mesh:8x8" \
-  "--strategy=topocent --tasks=stencil2d:12x12 --topology=torus:12x12" \
+  "--strategy=topocent --tasks=stencil2d:48x48 --topology=torus:48x48" \
   "--strategy=topolb+refine --tasks=stencil2d:10x10 --topology=torus:10x10"
 do
   # shellcheck disable=SC2086

@@ -14,6 +14,7 @@
 #include "core/metrics.hpp"
 #include "core/refine_topo_lb.hpp"
 #include "core/swap_kernel.hpp"
+#include "core/topo_lb.hpp"
 #include "graph/quotient.hpp"
 #include "obs/obs.hpp"
 #include "partition/multilevel.hpp"
@@ -30,6 +31,14 @@ using graph::UndirectedEdge;
 
 constexpr int kEdgeGrain = 2048;  // swap-delta / hop-bytes edge chunks
 constexpr int kNodeGrain = 16;    // machine-node split chunks
+
+/// Task coarsening stops near kCoarsenFactor * (coarse node count)
+/// vertices, so the coarsest partition has a few tasks per node to work
+/// with.
+constexpr int kCoarsenFactor = 4;
+/// Machine-side levels run their swap pass only while the node count is at
+/// most this cap; deeper (wider) levels keep the quota split as-is.
+constexpr int kRefineNodeCap = 8192;
 
 /// Balancing weights: vertex weights, or all-ones when the graph carries no
 /// compute load (same convention as the multilevel partitioner).
@@ -434,7 +443,6 @@ HierResult hier_map(const graph::TaskGraph& g, const topo::Topology& topo,
                   "flat_proc_cap must be in [1, 20000] (DistanceCache cap)");
   TOPOMAP_REQUIRE(opt.flat_square_cap >= 0 && opt.flat_square_cap <= 20000,
                   "flat_square_cap must be in [0, 20000] (DistanceCache cap)");
-  TOPOMAP_REQUIRE(opt.coarsen_factor >= 2, "coarsen_factor must be >= 2");
   TOPOMAP_REQUIRE(opt.refine_passes >= 0 && opt.coarse_refine_passes >= 0,
                   "refine pass counts must be non-negative");
   TOPOMAP_REQUIRE(n >= p,
@@ -473,7 +481,7 @@ HierResult hier_map(const graph::TaskGraph& g, const topo::Topology& topo,
     OBS_SPAN("hier/coarsen_tasks");
     const TaskGraph* cur = &g;
     const long long stop_n =
-        static_cast<long long>(opt.coarsen_factor) * p_eff;
+        static_cast<long long>(kCoarsenFactor) * p_eff;
     // Cap coarse vertices at ~0.65 of a target part so the coarsest
     // partition can still balance; matching naturally stalls right around
     // stop_n (average coarse weight = total / stop_n = cap/2.6).
@@ -516,7 +524,8 @@ HierResult hier_map(const graph::TaskGraph& g, const topo::Topology& topo,
     const CacheHandlePtr solve_handle =
         contracted || !cache ? std::make_shared<CacheHandle>() : cache;
     plane_cache = solve_handle->get(plane);
-    mc = TopoLB(opt.order, solve_handle).map(out.quotient, plane, rng);
+    mc = TopoLB(EstimationOrder::kSecond, solve_handle)
+             .map(out.quotient, plane, rng);
     if (opt.coarse_refine_passes > 0) {
       RefineResult rr = refine_mapping(out.quotient, plane, mc,
                                        opt.coarse_refine_passes,
@@ -589,12 +598,12 @@ HierResult hier_map(const graph::TaskGraph& g, const topo::Topology& topo,
       m = std::move(next);
       const int pk =
           static_cast<int>(mh.levels[static_cast<std::size_t>(k)].parent.size());
-      if (pk <= opt.refine_node_cap && opt.refine_passes > 0) {
+      if (pk <= kRefineNodeCap && opt.refine_passes > 0) {
         OBS_SPAN("hier/split_refine");
         const RepDistance dist{topo, mh.reps[static_cast<std::size_t>(k)]};
         out.swaps += run_level_passes(g, dist, m, opt.refine_passes);
       }
-      if (pk <= opt.refine_node_cap || k == 0) {
+      if (pk <= kRefineNodeCap || k == 0) {
         const RepDistance dist{topo, mh.reps[static_cast<std::size_t>(k)]};
         out.trajectory.push_back(
             HierLevelStats{n, hop_bytes_dist(g, dist, m)});
@@ -632,16 +641,7 @@ HierResult hier_map(const graph::TaskGraph& g, const topo::Topology& topo,
 }
 
 HierTopoLB::HierTopoLB(HierOptions options, CacheHandlePtr cache)
-    : options_(options), cache_(std::move(cache)) {
-  TOPOMAP_REQUIRE(options_.flat_proc_cap >= 1 &&
-                      options_.flat_proc_cap <= 20000,
-                  "flat_proc_cap must be in [1, 20000]");
-  TOPOMAP_REQUIRE(options_.flat_square_cap >= 0 &&
-                      options_.flat_square_cap <= 20000,
-                  "flat_square_cap must be in [0, 20000]");
-  TOPOMAP_REQUIRE(options_.coarsen_factor >= 2,
-                  "coarsen_factor must be >= 2");
-}
+    : options_(options), cache_(std::move(cache)) {}
 
 Mapping HierTopoLB::map(const graph::TaskGraph& g, const topo::Topology& topo,
                         Rng& rng) const {

@@ -31,7 +31,6 @@
 #pragma once
 
 #include "core/strategy.hpp"
-#include "core/topo_lb.hpp"
 #include "graph/task_graph.hpp"
 
 namespace topomap::core {
@@ -50,24 +49,15 @@ struct HierOptions {
   /// DistanceCache node ceiling (20000); the O(p^2) solve state makes
   /// values much beyond 4096 expensive.
   int flat_square_cap = 4096;
-  /// Task coarsening stops near `coarsen_factor * (coarse node count)`
-  /// vertices, so the coarsest partition has a few tasks per node to work
-  /// with.
-  int coarsen_factor = 4;
   /// Bounded swap passes after each task-side projection level (0 disables
   /// level refinement entirely — the pure-projection mode the exactness
   /// property test relies on).
   int refine_passes = 1;
-  /// Machine-side levels run their swap pass only while the node count is
-  /// at most this cap; deeper (wider) levels keep the quota split as-is.
-  int refine_node_cap = 8192;
   /// RefineTopoLB sweeps over the coarsest (square) mapping; 0 disables.
   int coarse_refine_passes = 4;
   /// "+refine": full RefineTopoLB when the final mapping is square and the
   /// machine small enough, extra finest-level swap passes otherwise.
   bool final_refine = false;
-  /// Estimation order of the coarsest TopoLB solve.
-  EstimationOrder order = EstimationOrder::kSecond;
 };
 
 /// Vertex count and hop-bytes after each task-side projection level (first
@@ -119,8 +109,6 @@ class HierTopoLB final : public MappingStrategy {
               Rng& rng) const override;
   std::string name() const override;
   bool supports_oversubscription() const override { return true; }
-
-  const HierOptions& options() const { return options_; }
 
  private:
   HierOptions options_;

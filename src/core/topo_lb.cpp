@@ -17,13 +17,13 @@ namespace topomap::core {
 
 namespace {
 
-// Static-chunk grains for the row-independent kernels.  Chunk boundaries
-// depend only on loop size and grain (never thread count), and each chunk
-// touches only its own rows/slots, so results are byte-identical for any
-// thread count — see support/parallel.hpp.
-constexpr int kRowGrain = 8;      // full row rescans (O(p) work per row)
-constexpr int kTaskGrain = 512;   // scalar per-task updates
-constexpr int kProcGrain = 2048;  // per-free-processor updates
+// Static-chunk grain of rescan_all_rows, the one pooled kernel: each row
+// rescan is O(p) work and touches only its own slots, so chunk boundaries
+// depend only on the row count and results are byte-identical for any
+// thread count — see support/parallel.hpp.  The per-placement updates in
+// place() run sequentially: a greedy step does O(p * delta) work, too
+// little to repay a pool hand-off thousands of times per map call.
+constexpr int kRowGrain = 8;
 
 /// Row-minimum buffer depth.  Each row keeps its kTopK smallest (f, q)
 /// pairs; when a row's argmin processor is consumed the next minimum is the
@@ -229,8 +229,8 @@ struct TopoLBState {
   }
 
   /// Rescan every unplaced row.  Rows are independent (each writes only its
-  /// own f_sum/f_min/f_argmin slots), so this is the main parallel kernel of
-  /// the initial scan and of third order's per-cycle refresh.
+  /// own f_sum/f_min/f_argmin slots), so this is TopoLB's one parallel
+  /// kernel: third order's initial scan and per-cycle refresh.
   void rescan_all_rows() {
     support::parallel_for(
         static_cast<int>(unplaced.size()), kRowGrain, [&](int begin, int end) {
@@ -301,12 +301,12 @@ struct TopoLBState {
     // Trajectory of the objective: edges close when their second endpoint
     // lands, so the running sum of just-closed incident edges equals the
     // final mapping's hop-bytes after the last placement.
+    const auto drow = dist.row(proc);
     if (obs::enabled()) [[unlikely]] {
-      const auto drow_obs = dist.row(proc);
       for (const graph::Edge& e : g.edges_of(task)) {
         if (!task_placed[static_cast<std::size_t>(e.neighbor)]) continue;
         obs_hop_bytes +=
-            e.bytes * static_cast<double>(drow_obs[static_cast<std::size_t>(
+            e.bytes * static_cast<double>(drow[static_cast<std::size_t>(
                           mapping[static_cast<std::size_t>(e.neighbor)])]);
       }
       OBS_SERIES_APPEND("topolb/hop_bytes_trajectory", obs_hop_bytes);
@@ -317,44 +317,27 @@ struct TopoLBState {
         std::lower_bound(unplaced.begin(), unplaced.end(), task));
 
     const bool incremental = order != EstimationOrder::kThird;
-    const int nu = static_cast<int>(unplaced.size());
 
     // 1. Retire `proc` from the incremental row statistics using the *old*
-    //    f values (non-neighbour rows are otherwise unchanged).  Each task
-    //    touches only its own slots — row-parallel.  Passive rows carry no
-    //    per-row state: the shared sum/head update in step 2 covers them.
-    //    Rows whose buffered minimum lived on `proc` land in per-chunk
-    //    stale buckets, concatenated in ascending chunk order for step 5.
+    //    f values (non-neighbour rows are otherwise unchanged).  Passive
+    //    rows carry no per-row state: the shared sum/head update in step 2
+    //    covers them.  Rows whose buffered minimum lived on `proc` go stale
+    //    until step 5.
     std::vector<int> stale;
     if (incremental) {
-      const int chunks = support::parallel_chunk_count(nu, kTaskGrain);
-      std::vector<std::vector<int>> stale_chunks(
-          static_cast<std::size_t>(chunks));
-      support::parallel_for_chunks(
-          nu, kTaskGrain, [&](int chunk, int begin, int end) {
-            auto& bucket = stale_chunks[static_cast<std::size_t>(chunk)];
-            for (int i = begin; i < end; ++i) {
-              const int t = unplaced[static_cast<std::size_t>(i)];
-              if (!row_active[static_cast<std::size_t>(t)]) continue;
-              f_sum[static_cast<std::size_t>(t)] -= f_est(t, proc);
-              if (f_argmin[static_cast<std::size_t>(t)] == proc)
-                bucket.push_back(t);
-            }
-          });
-      for (const auto& bucket : stale_chunks)
-        stale.insert(stale.end(), bucket.begin(), bucket.end());
+      for (const int t : unplaced) {
+        if (!row_active[static_cast<std::size_t>(t)]) continue;
+        f_sum[static_cast<std::size_t>(t)] -= f_est(t, proc);
+        if (f_argmin[static_cast<std::size_t>(t)] == proc) stale.push_back(t);
+      }
     }
 
     // 2. Remove the processor from the free set; keep the passive rows'
     //    shared landscape current (head skips consumed processors in
     //    amortized O(1), the free-sum drops by the consumed entry).
     proc_used[static_cast<std::size_t>(proc)] = 1;
-    for (std::size_t i = 0; i < free_procs.size(); ++i) {
-      if (free_procs[i] == proc) {
-        free_procs.erase(free_procs.begin() + static_cast<std::ptrdiff_t>(i));
-        break;
-      }
-    }
+    free_procs.erase(
+        std::lower_bound(free_procs.begin(), free_procs.end(), proc));
     if (lazy) {
       sum_m_free -= order == EstimationOrder::kSecond
                         ? mean_dist[static_cast<std::size_t>(proc)]
@@ -367,62 +350,33 @@ struct TopoLBState {
 
     // 3. Third order: the free-set mean distances all shift.
     if (order == EstimationOrder::kThird) {
-      const auto drow = dist.row(proc);
-      const int nfree = static_cast<int>(free_procs.size());
-      support::parallel_for(nfree, kProcGrain, [&](int begin, int end) {
-        for (int i = begin; i < end; ++i) {
-          const int q = free_procs[static_cast<std::size_t>(i)];
-          sum_dist_free[static_cast<std::size_t>(q)] -=
-              static_cast<double>(drow[q]);
-        }
-      });
+      for (const int q : free_procs)
+        sum_dist_free[static_cast<std::size_t>(q)] -=
+            static_cast<double>(drow[q]);
     }
 
     if (free_procs.empty()) return;
 
     // 4. Neighbours of the placed task: their unplaced->placed split moved,
     //    so their whole row changes — fold the now-exact distance term into
-    //    assigned_cost (parallel over free processors), then rescan the
-    //    touched rows (parallel over rows; a rescan reads only its own
-    //    row's data, so deferring it past the other rows' updates changes
-    //    nothing).  This is the paper's O(p * delta(t_k)) step.
-    const auto drow = dist.row(proc);
-    const int nfree = static_cast<int>(free_procs.size());
-    std::vector<int> touched;
+    //    assigned_cost and rescan the row.  This is the paper's
+    //    O(p * delta(t_k)) step.
     for (const graph::Edge& e : g.edges_of(task)) {
       const int tj = e.neighbor;
       if (task_placed[static_cast<std::size_t>(tj)]) continue;
-      const auto row =
-          static_cast<std::size_t>(tj) * static_cast<std::size_t>(n);
-      support::parallel_for(nfree, kProcGrain, [&](int begin, int end) {
-        for (int i = begin; i < end; ++i) {
-          const int q = free_procs[static_cast<std::size_t>(i)];
-          assigned_cost[row + static_cast<std::size_t>(q)] +=
-              e.bytes * static_cast<double>(drow[q]);
-        }
-      });
+      double* arow = assigned_cost.data() +
+                     static_cast<std::size_t>(tj) * static_cast<std::size_t>(n);
+      for (const int q : free_procs)
+        arow[q] += e.bytes * static_cast<double>(drow[q]);
       unplaced_bytes[static_cast<std::size_t>(tj)] -= e.bytes;
-      touched.push_back(tj);
-    }
-    if (incremental) {
-      support::parallel_for(
-          static_cast<int>(touched.size()), 1, [&](int begin, int end) {
-            for (int i = begin; i < end; ++i)
-              rescan_row(touched[static_cast<std::size_t>(i)]);
-          });
+      if (incremental) rescan_row(tj);
     }
 
     // 5. Rows whose minimum lived on the consumed processor: pop the
     //    buffered next-best (amortized O(1); full rescan only on a drained
     //    buffer).  A stale row that step 4 just rescanned advances to its
     //    fresh head — a no-op.
-    if (incremental) {
-      support::parallel_for(
-          static_cast<int>(stale.size()), kTaskGrain, [&](int begin, int end) {
-            for (int i = begin; i < end; ++i)
-              advance_row_min(stale[static_cast<std::size_t>(i)]);
-          });
-    }
+    for (const int t : stale) advance_row_min(t);
   }
 
   const graph::TaskGraph& g;

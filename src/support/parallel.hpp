@@ -72,10 +72,10 @@ class InlineScope {
 namespace detail {
 
 /// True when loops must run inline on the calling thread: a single-worker
-/// pool, or a nested call from inside a pool chunk.  The hot mapping loops
-/// issue tens of thousands of tiny parallel_for calls, so the inline path
-/// must not pay a std::function allocation — the templates below check
-/// this first and only type-erase on the pooled path.
+/// pool, a nested call from inside a pool chunk, or an InlineScope.  The
+/// inline path must cost no more than a plain loop, so it must not pay a
+/// std::function allocation — the templates below check this first and
+/// only type-erase on the pooled path.
 bool use_inline();
 
 /// Pooled execution of body(chunk, begin, end); n > 0, grain >= 1.

@@ -7,12 +7,14 @@
 
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "core/metrics.hpp"
 #include "core/strategy.hpp"
 #include "graph/builders.hpp"
+#include "graph/factory.hpp"
 #include "support/error.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
@@ -61,68 +63,82 @@ TEST(DistanceCache, RejectsOversizedTopology) {
                precondition_error);
 }
 
-// Every strategy that reads the distance plane, on a mixed random workload,
-// pinned by a 64-bit FNV-1a digest of its mapping.  The digests were
-// recorded while the strategies still had a second distance path that
-// called Topology::distance on every lookup, and each one was that path's
-// digest too; with DistanceCache rows checked against Topology::distance
-// pair by pair (test_triangle_inequality.cpp), they keep the two paths'
-// agreement without the second path.
+// Every strategy that reads the distance plane, pinned by a 64-bit FNV-1a
+// digest of its mapping at pool widths 1, 2 and 4.  The "random" rows map a
+// mixed random workload sized to the machine; their digests were recorded
+// while the strategies still had a second distance path that called
+// Topology::distance on every lookup, and each one was that path's digest
+// too; with DistanceCache rows checked against Topology::distance pair by
+// pair (test_triangle_inequality.cpp), they keep the two paths' agreement
+// without the second path.  The stencil rows run on machines of more than
+// 2048 processors, where TopoLB's per-placement updates once ran as pooled
+// regions and TopoCentLB's processor scan, which merges one minimum per
+// static chunk of 2048 processors, has two chunks that 2 and 4 workers run
+// concurrently; their digests were recorded from the pooled code at 1 and
+// 4 workers.
 struct DigestCase {
   const char* strategy;
+  const char* workload;  // graph::make_task_graph spec, or "random"
   const char* topo;
   std::uint64_t digest;
 };
 
 const DigestCase kDigestCases[] = {
-    {"topolb", "torus:5x5", 0x278d73d3434f485bull},
-    {"topolb", "mesh:4x4", 0x9997f7c182a0dc63ull},
-    {"topolb", "torus:3x3x3", 0x73b6cb7560128058ull},
-    {"topolb", "hypercube:4", 0x684db5ae6574d583ull},
-    {"topolb", "fattree:2x4", 0xc7157533c9f2c2e3ull},
-    {"topolb", "dragonfly:4", 0x388e5b64734a8a03ull},
-    {"topolb1", "torus:5x5", 0x278d73d3434f485bull},
-    {"topolb1", "mesh:4x4", 0xcf9057cf690999e3ull},
-    {"topolb1", "torus:3x3x3", 0x73b6cb7560128058ull},
-    {"topolb1", "hypercube:4", 0x684db5ae6574d583ull},
-    {"topolb1", "fattree:2x4", 0xc7157533c9f2c2e3ull},
-    {"topolb1", "dragonfly:4", 0x388e5b64734a8a03ull},
-    {"topolb3", "torus:5x5", 0xfc7512594380c1bbull},
-    {"topolb3", "mesh:4x4", 0x37debd67ebf36483ull},
-    {"topolb3", "torus:3x3x3", 0xfc702ae7ee6e1ac8ull},
-    {"topolb3", "hypercube:4", 0xcafda204e9585043ull},
-    {"topolb3", "fattree:2x4", 0xb73c06b1cb4fa2d3ull},
-    {"topolb3", "dragonfly:4", 0x258a680528fc7c43ull},
-    {"topocent", "torus:5x5", 0x48b01c0ef9135b0bull},
-    {"topocent", "mesh:4x4", 0x1911156d4e232843ull},
-    {"topocent", "torus:3x3x3", 0x33c9424445ce3198ull},
-    {"topocent", "hypercube:4", 0x70843004d8ba6fa3ull},
-    {"topocent", "fattree:2x4", 0x3a7a01c169116a33ull},
-    {"topocent", "dragonfly:4", 0xc8fdd4cdf2311ff3ull},
-    {"topolb+refine", "torus:5x5", 0x311469e01d4fc03bull},
-    {"topolb+refine", "mesh:4x4", 0x133fd67ffc025c93ull},
-    {"topolb+refine", "torus:3x3x3", 0x6a41ba6caa6d1338ull},
-    {"topolb+refine", "hypercube:4", 0x34574c09dff34303ull},
-    {"topolb+refine", "fattree:2x4", 0x4be0068406dae583ull},
-    {"topolb+refine", "dragonfly:4", 0x056cb81299ae4e13ull},
-    {"topocent+refine", "torus:5x5", 0xbfd85221d3b0d82bull},
-    {"topocent+refine", "mesh:4x4", 0x7be2c9a593bdead3ull},
-    {"topocent+refine", "torus:3x3x3", 0x33c9424445ce3198ull},
-    {"topocent+refine", "hypercube:4", 0x6b6bec96711526a3ull},
-    {"topocent+refine", "fattree:2x4", 0x76d61a6de1cc2943ull},
-    {"topocent+refine", "dragonfly:4", 0xa2d9a2e276624653ull},
-    {"anneal", "torus:5x5", 0x4fcd8ebc8275b91bull},
-    {"anneal", "mesh:4x4", 0x5222a0e3eebd0aa3ull},
-    {"anneal", "torus:3x3x3", 0x4c5137b5861675f8ull},
-    {"anneal", "hypercube:4", 0xac14d46edcfce5f3ull},
-    {"anneal", "fattree:2x4", 0x892acbf46b437283ull},
-    {"anneal", "dragonfly:4", 0x461fec519ec351a3ull},
-    {"anneal-warm", "torus:5x5", 0x5c26e100b693a8bbull},
-    {"anneal-warm", "mesh:4x4", 0x26421757fa784203ull},
-    {"anneal-warm", "torus:3x3x3", 0xed89a98eb2ccc9a8ull},
-    {"anneal-warm", "hypercube:4", 0x45d2e2bebdc66813ull},
-    {"anneal-warm", "fattree:2x4", 0xdf755b4646056123ull},
-    {"anneal-warm", "dragonfly:4", 0x467820209fcdd723ull},
+    {"topolb", "random", "torus:5x5", 0x278d73d3434f485bull},
+    {"topolb", "random", "mesh:4x4", 0x9997f7c182a0dc63ull},
+    {"topolb", "random", "torus:3x3x3", 0x73b6cb7560128058ull},
+    {"topolb", "random", "hypercube:4", 0x684db5ae6574d583ull},
+    {"topolb", "random", "fattree:2x4", 0xc7157533c9f2c2e3ull},
+    {"topolb", "random", "dragonfly:4", 0x388e5b64734a8a03ull},
+    {"topolb1", "random", "torus:5x5", 0x278d73d3434f485bull},
+    {"topolb1", "random", "mesh:4x4", 0xcf9057cf690999e3ull},
+    {"topolb1", "random", "torus:3x3x3", 0x73b6cb7560128058ull},
+    {"topolb1", "random", "hypercube:4", 0x684db5ae6574d583ull},
+    {"topolb1", "random", "fattree:2x4", 0xc7157533c9f2c2e3ull},
+    {"topolb1", "random", "dragonfly:4", 0x388e5b64734a8a03ull},
+    {"topolb3", "random", "torus:5x5", 0xfc7512594380c1bbull},
+    {"topolb3", "random", "mesh:4x4", 0x37debd67ebf36483ull},
+    {"topolb3", "random", "torus:3x3x3", 0xfc702ae7ee6e1ac8ull},
+    {"topolb3", "random", "hypercube:4", 0xcafda204e9585043ull},
+    {"topolb3", "random", "fattree:2x4", 0xb73c06b1cb4fa2d3ull},
+    {"topolb3", "random", "dragonfly:4", 0x258a680528fc7c43ull},
+    {"topocent", "random", "torus:5x5", 0x48b01c0ef9135b0bull},
+    {"topocent", "random", "mesh:4x4", 0x1911156d4e232843ull},
+    {"topocent", "random", "torus:3x3x3", 0x33c9424445ce3198ull},
+    {"topocent", "random", "hypercube:4", 0x70843004d8ba6fa3ull},
+    {"topocent", "random", "fattree:2x4", 0x3a7a01c169116a33ull},
+    {"topocent", "random", "dragonfly:4", 0xc8fdd4cdf2311ff3ull},
+    {"topolb+refine", "random", "torus:5x5", 0x311469e01d4fc03bull},
+    {"topolb+refine", "random", "mesh:4x4", 0x133fd67ffc025c93ull},
+    {"topolb+refine", "random", "torus:3x3x3", 0x6a41ba6caa6d1338ull},
+    {"topolb+refine", "random", "hypercube:4", 0x34574c09dff34303ull},
+    {"topolb+refine", "random", "fattree:2x4", 0x4be0068406dae583ull},
+    {"topolb+refine", "random", "dragonfly:4", 0x056cb81299ae4e13ull},
+    {"topocent+refine", "random", "torus:5x5", 0xbfd85221d3b0d82bull},
+    {"topocent+refine", "random", "mesh:4x4", 0x7be2c9a593bdead3ull},
+    {"topocent+refine", "random", "torus:3x3x3", 0x33c9424445ce3198ull},
+    {"topocent+refine", "random", "hypercube:4", 0x6b6bec96711526a3ull},
+    {"topocent+refine", "random", "fattree:2x4", 0x76d61a6de1cc2943ull},
+    {"topocent+refine", "random", "dragonfly:4", 0xa2d9a2e276624653ull},
+    {"anneal", "random", "torus:5x5", 0x4fcd8ebc8275b91bull},
+    {"anneal", "random", "mesh:4x4", 0x5222a0e3eebd0aa3ull},
+    {"anneal", "random", "torus:3x3x3", 0x4c5137b5861675f8ull},
+    {"anneal", "random", "hypercube:4", 0xac14d46edcfce5f3ull},
+    {"anneal", "random", "fattree:2x4", 0x892acbf46b437283ull},
+    {"anneal", "random", "dragonfly:4", 0x461fec519ec351a3ull},
+    {"anneal-warm", "random", "torus:5x5", 0x5c26e100b693a8bbull},
+    {"anneal-warm", "random", "mesh:4x4", 0x26421757fa784203ull},
+    {"anneal-warm", "random", "torus:3x3x3", 0xed89a98eb2ccc9a8ull},
+    {"anneal-warm", "random", "hypercube:4", 0x45d2e2bebdc66813ull},
+    {"anneal-warm", "random", "fattree:2x4", 0xdf755b4646056123ull},
+    {"anneal-warm", "random", "dragonfly:4", 0x467820209fcdd723ull},
+    {"topolb", "stencil2d:48x48", "torus:48x48", 0x51751a16e06f6783ull},
+    {"topolb", "stencil3d:14x14x14", "torus:14x14x14", 0xcdf9e282bed60bc7ull},
+    {"topolb+refine", "stencil2d:48x48", "torus:48x48",
+     0x51751a16e06f6783ull},
+    {"topolb+refine", "stencil3d:14x14x14", "torus:14x14x14",
+     0xcdf9e282bed60bc7ull},
+    {"topocent", "stencil2d:48x48", "torus:48x48", 0x11ef0845932e4d53ull},
 };
 
 std::uint64_t mapping_digest(const Mapping& m) {
@@ -135,6 +151,12 @@ std::uint64_t mapping_digest(const Mapping& m) {
   return h;
 }
 
+// Names each case by its row, so test names do not carry the addresses of
+// the row's strings (which move with every build and run).
+void PrintTo(const DigestCase& c, std::ostream* os) {
+  *os << c.strategy << ' ' << c.workload << ' ' << c.topo;
+}
+
 class MappingDigestTest : public ::testing::TestWithParam<DigestCase> {};
 
 TEST_P(MappingDigestTest, MatchesGolden) {
@@ -142,11 +164,19 @@ TEST_P(MappingDigestTest, MatchesGolden) {
   const auto t = make_topology(c.topo);
   Rng graph_rng(7);
   const TaskGraph g =
-      graph::random_graph(t->size(), 3.0 / t->size() + 0.08, 1.0, 64.0,
-                          graph_rng, /*require_connected=*/false);
-  Rng rng(1234);
-  const Mapping m = core::make_strategy(c.strategy)->map(g, *t, rng);
-  EXPECT_EQ(mapping_digest(m), c.digest) << c.strategy << " on " << c.topo;
+      std::string(c.workload) == "random"
+          ? graph::random_graph(t->size(), 3.0 / t->size() + 0.08, 1.0, 64.0,
+                                graph_rng, /*require_connected=*/false)
+          : graph::make_task_graph(c.workload, graph_rng);
+  for (const int threads : {1, 2, 4}) {
+    support::set_num_threads(threads);
+    Rng rng(1234);
+    const Mapping m = core::make_strategy(c.strategy)->map(g, *t, rng);
+    EXPECT_EQ(mapping_digest(m), c.digest)
+        << c.strategy << " on " << c.workload << " -> " << c.topo << " at "
+        << threads << " workers";
+  }
+  support::set_num_threads(1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, MappingDigestTest,

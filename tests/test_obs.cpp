@@ -414,8 +414,8 @@ TEST_F(ObsTest, TopoLBRecordsCountersAndHopBytesTrajectory) {
 
   Registry& reg = Registry::instance();
   EXPECT_EQ(reg.counter("topolb/placements"), 36u);
-  EXPECT_GT(reg.counter("topolb/f_est_evals"), 0u);
-  EXPECT_GT(reg.counter("topolb/row_rescans"), 0u);
+  EXPECT_EQ(reg.counter("topolb/f_est_evals"), 1353u);
+  EXPECT_EQ(reg.counter("topolb/row_rescans"), 60u);
   EXPECT_GT(reg.counter("distcache/builds"), 0u);
 
   // The incremental trajectory converges to the exact final hop-bytes.
@@ -433,6 +433,27 @@ TEST_F(ObsTest, TopoLBRecordsCountersAndHopBytesTrajectory) {
   EXPECT_EQ(rollup.count("topolb/map"), 1u);
   ASSERT_EQ(rollup.count("topolb/select_task"), 1u);
   EXPECT_EQ(rollup.at("topolb/select_task").count, 36u);
+}
+
+// Work counters depend only on the instance, so they are pinned exactly —
+// here on a machine of more than 2048 processors, where TopoLB's
+// per-placement updates once ran as pooled regions; the values were
+// recorded from that pooled code at 1 and 4 workers.
+TEST_F(ObsTest, TopoLBWorkCountersAreExactAtAnyPoolWidth) {
+  const auto g = graph::stencil_2d(48, 48, 1024.0);
+  const auto topo = topo::make_topology("torus:48x48");
+  for (const int threads : {1, 4}) {
+    support::set_num_threads(threads);
+    Registry::instance().reset();
+    set_enabled(true);
+    Rng rng(1);
+    core::TopoLB().map(g, *topo, rng);
+    set_enabled(false);
+    Registry& reg = Registry::instance();
+    EXPECT_EQ(reg.counter("topolb/placements"), 2304u) << threads;
+    EXPECT_EQ(reg.counter("topolb/f_est_evals"), 5377843u) << threads;
+    EXPECT_EQ(reg.counter("topolb/row_rescans"), 4512u) << threads;
+  }
 }
 
 TEST_F(ObsTest, InstrumentedMappingIsThreadCountInvariant) {
